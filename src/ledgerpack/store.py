@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 from .analytics import lifespan_cdf
 from .chain import ChainState, build_chain
-from .errors import DecodeError, StoreError, TruncationError
+from .errors import DecodeError, LedgerError, StoreError, TruncationError
 from .strategies import (
     IDENTITY_CODEC,
     MinimizedBlock,
@@ -839,7 +839,7 @@ def integrity_check(path: str) -> IntegrityReport:
     try:
         content = decode_store_content(view)
         report.add("decode", None, True)
-    except Exception as exc:  # corrupt payloads must report, not crash
+    except LedgerError as exc:  # corrupt payloads must report, not crash
         report.add("decode", None, False, f"{type(exc).__name__}: {exc}")
         return report
 
