@@ -272,10 +272,6 @@ def script_dedup_stats(blocks) -> DedupStats:
     return DedupStats(_side_from_counter(inputs), _side_from_counter(outputs))
 
 
-def dedup_stats_from_counters(inputs: Counter, outputs: Counter) -> DedupStats:
-    return DedupStats(_side_from_counter(inputs), _side_from_counter(outputs))
-
-
 # ---------------------------------------------------------------------------
 # dormancy
 

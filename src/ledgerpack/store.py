@@ -30,24 +30,22 @@ from .analytics import lifespan_cdf
 from .chain import ChainState, build_chain
 from .errors import DecodeError, LedgerError, StoreError, TruncationError
 from .strategies import (
-    IDENTITY_CODEC,
     MinimizedBlock,
     RefScriptCodec,
     SlackStats,
     StrategyConfig,
-    copath_coordinates,
+    copath_nodes,
     dedup_scripts,
-    decode_stored_tx,
     deserialize_minimized,
-    encode_stored_tx,
     prune_keep_from,
     reduction_percent,
     serialize_minimized,
-    slack_decode,
+    slack_decode_tx,
     slack_encode,
     verify_tx_in_minimized,
 )
 from .wire import (
+    IDENTITY_CODEC,
     MAINNET_MAGIC,
     Block,
     BlockHeader,
@@ -55,9 +53,11 @@ from .wire import (
     VarInt,
     decode_block,
     decode_header,
+    decode_transaction,
     decode_varint,
+    encode_block,
+    encode_transaction,
     encode_varint,
-    merkle_levels,
     merkle_root,
     txid,
 )
@@ -90,16 +90,43 @@ class BodyRecord:
     payload: bytes
 
 
-def _framed_size(bodies) -> int:
-    return sum(
-        1 + len(encode_varint(b.height)) + len(encode_varint(len(b.payload))) + len(b.payload)
-        for b in bodies
-    )
+def _spine_file(spine) -> bytes:
+    parts = []
+    for rec in spine:
+        if rec.header is not None:
+            parts.append(b"\x01" + rec.block_hash + rec.header.encode())
+        else:
+            parts.append(b"\x00" + rec.block_hash)
+    return b"".join(parts)
+
+
+def _bodies_file(bodies) -> bytes:
+    parts = []
+    for rec in bodies:
+        parts.append(bytes([rec.kind]))
+        parts.append(encode_varint(rec.height))
+        parts.append(encode_varint(len(rec.payload)))
+        parts.append(rec.payload)
+    return b"".join(parts)
+
+
+def _kvs_file(kvs) -> bytes:
+    parts = []
+    for ref in sorted(kvs):
+        script = kvs[ref]
+        parts.append(ref)
+        parts.append(encode_varint(len(script)))
+        parts.append(script)
+    return b"".join(parts)
 
 
 @dataclass
 class StoreModel:
-    """Everything write_store puts on disk, with exact byte accounting."""
+    """Everything write_store puts on disk, with exact byte accounting.
+
+    Each file is serialized on first use and reused after that, so any
+    change to the records must come before the first read of the bytes.
+    """
 
     magic: int
     tip: int
@@ -111,39 +138,30 @@ class StoreModel:
     bodies: list = field(default_factory=list)
     kvs: dict = field(default_factory=dict)
     slack_stats: SlackStats | None = None
+    _files: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def _file(self, name: str, serialize, records):
+        if name not in self._files:
+            self._files[name] = serialize(records)
+        return self._files[name]
 
     def spine_bytes(self) -> bytes:
-        parts = []
-        for rec in self.spine:
-            if rec.header is not None:
-                parts.append(b"\x01" + rec.block_hash + rec.header.encode())
-            else:
-                parts.append(b"\x00" + rec.block_hash)
-        return b"".join(parts)
+        return self._file(SPINE_FILE, _spine_file, self.spine)
 
     def bodies_bytes(self) -> bytes:
-        parts = []
-        for rec in self.bodies:
-            parts.append(bytes([rec.kind]))
-            parts.append(encode_varint(rec.height))
-            parts.append(encode_varint(len(rec.payload)))
-            parts.append(rec.payload)
-        return b"".join(parts)
+        return self._file(BODIES_FILE, _bodies_file, self.bodies)
 
     def kvs_bytes(self) -> bytes:
-        parts = []
-        for ref in sorted(self.kvs):
-            script = self.kvs[ref]
-            parts.append(ref)
-            parts.append(encode_varint(len(script)))
-            parts.append(script)
-        return b"".join(parts)
+        return self._file(KVS_FILE, _kvs_file, self.kvs)
 
     @property
     def retained_bytes(self) -> int:
         return len(self.spine_bytes()) + len(self.bodies_bytes()) + len(self.kvs_bytes())
 
     def manifest_text(self) -> str:
+        return self._file(MANIFEST_FILE, StoreModel._manifest, self)
+
+    def _manifest(self) -> str:
         digests = {
             "spine": hashlib.sha256(self.spine_bytes()).hexdigest(),
             "bodies": hashlib.sha256(self.bodies_bytes()).hexdigest(),
@@ -193,31 +211,6 @@ def _unspent_positions(block: Block, height: int, state: ChainState) -> set:
     return keep
 
 
-def _encode_block_stored(block: Block, codec) -> bytes:
-    parts = [
-        block.header.encode(),
-        encode_varint(VarInt(len(block.transactions), block.tx_count_width)),
-    ]
-    for tx in block.transactions:
-        parts.append(encode_stored_tx(tx, codec))
-    return b"".join(parts)
-
-
-def _decode_block_stored(payload: bytes, codec) -> Block:
-    header = decode_header(payload, 0)
-    offset = 80
-    n_tx, used = decode_varint(payload, offset)
-    offset += used
-    txs = []
-    for _ in range(n_tx.value):
-        tx, consumed = decode_stored_tx(payload, offset, codec)
-        txs.append(tx)
-        offset += consumed
-    if offset != len(payload):
-        raise StoreError(f"{len(payload) - offset} stray byte(s) in raw body record")
-    return Block(header, txs, raw_size_bytes=len(payload), tx_count_width=n_tx.width)
-
-
 class _Locators:
     """Which (height, tx position) pairs an ascending reader can resolve."""
 
@@ -250,7 +243,7 @@ class _Locators:
 
 
 def _encode_compact_payload(
-    block: Block, height: int, locators: _Locators, codec, stats=None
+    block: Block, height: int, locators: _Locators, codec, stats: SlackStats
 ) -> bytes:
     parts = [encode_varint(VarInt(len(block.transactions), block.tx_count_width))]
     for i, tx in enumerate(block.transactions):
@@ -258,24 +251,16 @@ def _encode_compact_payload(
     return b"".join(parts)
 
 
-def _minimized_slack_txs(block, height, positions, kept, locators, codec, stats=None):
-    return [
-        (p, slack_encode(block.transactions[p], locators.for_tx(height, p, kept), stats, codec))
-        for p in positions
-    ]
-
-
 def _encode_minimized_payload(
     block: Block, height: int, kept: set, ids: list, locators: _Locators, codec, slack_on: bool
-) -> bytes:
+) -> tuple[bytes, SlackStats | None]:
     """Minimized record payload: 1-byte kept-tx encoding flag (0 = stored
     form, 1 = compact form) + the co-path serialization.  With slack on,
     both encodings are tried and the smaller wins, so enabling slack can
-    never grow a minimized record."""
+    never grow a minimized record.  Returns the payload and, when the
+    compact form won, the slack stats of its kept txs."""
     positions = sorted(kept)
-    coords = copath_coordinates(len(ids), positions)
-    levels = merkle_levels(ids)
-    nodes = {c: levels[c[0]][c[1]] for c in coords}
+    nodes = copath_nodes(ids, positions)
 
     def payload_for(flag, kept_list):
         mb = MinimizedBlock(
@@ -283,22 +268,24 @@ def _encode_minimized_payload(
         )
         return bytes([flag]) + serialize_minimized(mb)
 
-    plain_kept = [(p, encode_stored_tx(block.transactions[p], codec)) for p in positions]
-    best = payload_for(0, plain_kept)
+    txs = block.transactions
+    best = payload_for(0, [(p, encode_transaction(txs[p], codec)) for p in positions])
     if slack_on:
-        slack_kept = _minimized_slack_txs(block, height, positions, kept, locators, codec)
-        candidate = payload_for(1, slack_kept)
+        stats = SlackStats()
+        candidate = payload_for(
+            1,
+            [(p, slack_encode(txs[p], locators.for_tx(height, p, kept), stats, codec)) for p in positions],
+        )
         if len(candidate) < len(best):
-            best = candidate
-    return best
+            return candidate, stats
+    return best, None
 
 
 def _encode_bodies(blocks, state, config, keep_from, kept_by_height, codec):
     """One full encoding pass; returns (body records, slack stats).
 
-    Stats must reflect exactly the records chosen, so winning payloads
-    that carry compact txs are encoded a second time with the counters
-    attached.
+    Each candidate record counts its own slack stats, and only the
+    winner's are kept, so the stats reflect exactly the records chosen.
     """
     locators = _Locators(state.index.locator)
     stats = SlackStats() if config.slack else None
@@ -310,25 +297,21 @@ def _encode_bodies(blocks, state, config, keep_from, kept_by_height, codec):
             locators.register(height, set())
             continue
 
-        kind = KIND_RAW
-        payload = _encode_block_stored(block, codec)
+        kind, payload, payload_stats = KIND_RAW, encode_block(block, codec), None
         if config.slack:
-            compact_payload = _encode_compact_payload(block, height, locators, codec)
+            compact_stats = SlackStats()
+            compact_payload = _encode_compact_payload(block, height, locators, codec, compact_stats)
             if len(compact_payload) < len(payload):
-                kind, payload = KIND_COMPACT, compact_payload
+                kind, payload, payload_stats = KIND_COMPACT, compact_payload, compact_stats
         if config.minimize and len(kept) < len(block.transactions):
-            minimized_payload = _encode_minimized_payload(
+            minimized_payload, minimized_stats = _encode_minimized_payload(
                 block, height, kept, state.index.txids[height], locators, codec, config.slack
             )
             if len(minimized_payload) < len(payload):
-                kind, payload = KIND_MINIMIZED, minimized_payload
+                kind, payload, payload_stats = KIND_MINIMIZED, minimized_payload, minimized_stats
 
-        if stats is not None:
-            if kind == KIND_COMPACT:
-                _encode_compact_payload(block, height, locators, codec, stats)
-            elif kind == KIND_MINIMIZED and payload[0] == 1:
-                _minimized_slack_txs(block, height, sorted(kept), kept, locators, codec, stats)
-
+        if payload_stats is not None:
+            stats.add(payload_stats)
         bodies.append(BodyRecord(height, kind, payload))
         locators.register(height, kept if kind == KIND_MINIMIZED else _ALL)
     return bodies, stats
@@ -396,8 +379,8 @@ def build_store_model(
             bodies_dedup, stats_dedup = _encode_bodies(
                 blocks, state, config, keep_from, kept_by_height, codec
             )
-            kvs_size = sum(8 + len(encode_varint(len(s))) + len(s) for s in plan.kvs.values())
-            if _framed_size(bodies_dedup) + kvs_size < _framed_size(bodies):
+            with_dedup = len(_bodies_file(bodies_dedup)) + len(_kvs_file(plan.kvs))
+            if with_dedup < len(_bodies_file(bodies)):
                 dedup_effective = True
                 bodies = bodies_dedup
                 stats = stats_dedup
@@ -668,38 +651,30 @@ def decode_store_content(view: StoreView) -> StoreContent:
 
     for rec in view.bodies:
         if rec.kind == KIND_RAW:
-            if view.manifest.dedup:
-                block = _decode_block_stored(rec.payload, codec)
-                raw = _encode_block_stored(block, IDENTITY_CODEC)
-            else:
-                block = decode_block(rec.payload)
-                raw = rec.payload
+            block = decode_block(rec.payload, codec)
+            raw = rec.payload if codec is IDENTITY_CODEC else encode_block(block)
             for i, tx in enumerate(block.transactions):
                 positions[(rec.height, i)] = txid(tx)
             content.blocks[rec.height] = block
             content.block_bytes[rec.height] = raw
         elif rec.kind == KIND_COMPACT:
             header = spine_header(rec)
-            n_tx, used = decode_varint(rec.payload, 0)
-            offset = used
-            parts = [header.encode(), encode_varint(VarInt(n_tx.value, n_tx.width))]
+            n_tx, offset = decode_varint(rec.payload, 0)
             txs = []
             for i in range(n_tx.value):
-                raw_tx, consumed = slack_decode(rec.payload, resolve, offset, codec)
+                tx, consumed = slack_decode_tx(rec.payload, resolve, offset, codec)
                 offset += consumed
-                tx, _ = decode_stored_tx(raw_tx, 0, IDENTITY_CODEC)
                 positions[(rec.height, i)] = txid(tx)
                 txs.append(tx)
-                parts.append(raw_tx)
             if offset != len(rec.payload):
                 raise StoreError(
                     f"{len(rec.payload) - offset} stray byte(s) in compact record at height "
                     f"{rec.height}"
                 )
-            raw = b"".join(parts)
-            content.blocks[rec.height] = Block(
-                header, txs, raw_size_bytes=len(raw), tx_count_width=n_tx.width
-            )
+            block = Block(header, txs, tx_count_width=n_tx.width)
+            raw = encode_block(block)
+            block.raw_size_bytes = len(raw)
+            content.blocks[rec.height] = block
             content.block_bytes[rec.height] = raw
         else:  # KIND_MINIMIZED
             header = spine_header(rec)
@@ -716,20 +691,16 @@ def decode_store_content(view: StoreView) -> StoreContent:
             kept = []
             for pos, stored in stored_mb.kept:
                 if tx_mode == 1:
-                    raw_tx, consumed = slack_decode(stored, resolve, 0, codec)
-                elif view.manifest.dedup:
-                    tx, consumed = decode_stored_tx(stored, 0, codec)
-                    raw_tx = encode_stored_tx(tx, IDENTITY_CODEC)
+                    tx, consumed = slack_decode_tx(stored, resolve, 0, codec)
                 else:
-                    raw_tx, consumed = bytes(stored), len(stored)
+                    tx, consumed = decode_transaction(stored, 0, codec)
                 if consumed != len(stored):
                     raise StoreError(
                         f"stray bytes after kept tx {pos} in minimized record at height "
                         f"{rec.height}"
                     )
-                tx, _ = decode_stored_tx(raw_tx, 0, IDENTITY_CODEC)
                 positions[(rec.height, pos)] = txid(tx)
-                kept.append((pos, raw_tx))
+                kept.append((pos, encode_transaction(tx)))
             content.minimized[rec.height] = MinimizedBlock(
                 stored_mb.block_hash,
                 stored_mb.merkle_root,
@@ -906,22 +877,10 @@ def estimate_footprint(
     if config.dedup:
         singles.append(StrategyConfig(dedup=True))
 
-    for single in singles:
-        model = build_store_model(blocks, state, single, magic)
-        rows.append(
-            ReportRow(
-                single.label(),
-                model.retained_bytes,
-                reduction_percent(baseline, model.retained_bytes),
-            )
-        )
-    if len(singles) > 1:
-        model = build_store_model(blocks, state, config, magic)
-        rows.append(
-            ReportRow(
-                config.label(),
-                model.retained_bytes,
-                reduction_percent(baseline, model.retained_bytes),
-            )
-        )
+    combined = [config] if len(singles) > 1 else []
+    for cfg in singles + combined:
+        # keep only the size, so each model and its serialized files are
+        # freed before the next one is built
+        retained = build_store_model(blocks, state, cfg, magic).retained_bytes
+        rows.append(ReportRow(cfg.label(), retained, reduction_percent(baseline, retained)))
     return StorageReport(baseline, rows)

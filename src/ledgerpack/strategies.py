@@ -21,31 +21,32 @@ from __future__ import annotations
 import hashlib
 import struct
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .analytics import LifespanCdf, percentile
 from .errors import DecodeError, QuantileUnreachableError, StrategyError, TruncationError
 from .wire import (
+    IDENTITY_CODEC,
     Block,
     OutPoint,
     Transaction,
     TxIn,
     TxOut,
     VarInt,
-    WitnessStack,
     decode_transaction,
     decode_varint,
+    decode_witness_stacks,
     dsha256,
     encode_block,
     encode_transaction,
     encode_varint,
+    encode_witness_stacks,
     merkle_levels,
     txid,
 )
 
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
-_U64 = struct.Struct("<Q")
 
 SEQUENCE_DEFAULT = 0xFFFFFFFF
 COMMON_VERSIONS = (1, 2)
@@ -136,6 +137,20 @@ class MinimizedBlock:
     retained_bytes: int = 0
 
 
+def _copath_steps(n_leaves: int, position: int):
+    """Walk from a leaf up to just below the root.
+
+    Yields (level, index, sibling index) per level, with level 0 = leaves.
+    The sibling is None where it lies beyond the end of an odd level:
+    that is the duplicated last node, which a verifier re-derives.
+    """
+    level, size = 0, n_leaves
+    while size > 1:
+        sib = position ^ 1
+        yield level, position, (sib if sib < size else None)
+        level, position, size = level + 1, position // 2, (size + 1) // 2
+
+
 def copath_coordinates(n_leaves: int, positions) -> set:
     """Union of Merkle co-path node coordinates for the given leaves.
 
@@ -143,33 +158,29 @@ def copath_coordinates(n_leaves: int, positions) -> set:
     beyond the end of an odd level is the duplicated last node, which a
     verifier re-derives, so it never appears in the set.
     """
-    sizes = []
-    n = n_leaves
-    while n > 1:
-        sizes.append(n)
-        n = (n + 1) // 2
-    need = set()
-    for pos in positions:
-        i = pos
-        for level, size in enumerate(sizes):
-            sib = i ^ 1
-            if sib < size:
-                need.add((level, sib))
-            i //= 2
-    return need
+    return {
+        (level, sib)
+        for pos in positions
+        for level, _, sib in _copath_steps(n_leaves, pos)
+        if sib is not None
+    }
 
 
-def serialize_minimized(mb: MinimizedBlock, tx_bytes_fn=None) -> bytes:
-    """Co-path record payload; ``tx_bytes_fn`` maps raw tx bytes to their
-    stored form (identity when absent)."""
+def copath_nodes(ids: list, positions) -> dict:
+    """(level, index) -> hash for every co-path node of the given leaves."""
+    levels = merkle_levels(ids)
+    return {(lv, ix): levels[lv][ix] for lv, ix in copath_coordinates(len(ids), positions)}
+
+
+def serialize_minimized(mb: MinimizedBlock) -> bytes:
+    """Co-path record payload: leaf count, kept txs by position, nodes."""
     if mb.mode != "copath":
         raise StrategyError(f"only copath mode serializes this way, not {mb.mode!r}")
     parts = [encode_varint(mb.n_leaves), encode_varint(len(mb.kept))]
-    for pos, raw in mb.kept:
-        stored = raw if tx_bytes_fn is None else tx_bytes_fn(raw)
+    for pos, tx_bytes in mb.kept:
         parts.append(encode_varint(pos))
-        parts.append(encode_varint(len(stored)))
-        parts.append(stored)
+        parts.append(encode_varint(len(tx_bytes)))
+        parts.append(tx_bytes)
     parts.append(encode_varint(len(mb.nodes)))
     for (level, index) in sorted(mb.nodes):
         parts.append(encode_varint(level))
@@ -178,9 +189,7 @@ def serialize_minimized(mb: MinimizedBlock, tx_bytes_fn=None) -> bytes:
     return b"".join(parts)
 
 
-def deserialize_minimized(
-    payload: bytes, block_hash: bytes, merkle_root: bytes, tx_bytes_back=None
-) -> MinimizedBlock:
+def deserialize_minimized(payload: bytes, block_hash: bytes, merkle_root: bytes) -> MinimizedBlock:
     offset = 0
 
     def take_varint():
@@ -197,10 +206,8 @@ def deserialize_minimized(
         ln = take_varint()
         if offset + ln > len(payload):
             raise TruncationError("kept tx cut short", offset=offset, field="minimized tx")
-        stored = payload[offset : offset + ln]
+        kept.append((pos, payload[offset : offset + ln]))
         offset += ln
-        raw = stored if tx_bytes_back is None else tx_bytes_back(stored)
-        kept.append((pos, raw))
     m = take_varint()
     nodes = {}
     for _ in range(m):
@@ -239,10 +246,7 @@ def minimize_block(block: Block, unspent: list, raw_block_bytes: bytes | None = 
     if not positions:
         return MinimizedBlock(block_hash, root, "hash_only", n, retained_bytes=32)
 
-    ids = [txid(t) for t in txs]
-    levels = merkle_levels(ids)
-    coords = copath_coordinates(n, positions)
-    nodes = {(lv, ix): levels[lv][ix] for lv, ix in coords}
+    nodes = copath_nodes([txid(t) for t in txs], positions)
     kept = [(pos, encode_transaction(txs[pos])) for pos in positions]
     mb = MinimizedBlock(block_hash, root, "copath", n, kept, nodes)
     payload = serialize_minimized(mb)
@@ -252,13 +256,6 @@ def minimize_block(block: Block, unspent: list, raw_block_bytes: bytes | None = 
     return MinimizedBlock(
         block_hash, root, "full", n, raw_bytes=raw_block_bytes, retained_bytes=len(raw_block_bytes)
     )
-
-
-def _level_sizes(n_leaves: int) -> list:
-    sizes = [n_leaves]
-    while sizes[-1] > 1:
-        sizes.append((sizes[-1] + 1) // 2)
-    return sizes
 
 
 def verify_tx_in_minimized(mb: MinimizedBlock, tx_position: int) -> bool:
@@ -278,21 +275,14 @@ def verify_tx_in_minimized(mb: MinimizedBlock, tx_position: int) -> bool:
             return False
     except DecodeError:
         return False
-    h = txid(tx)
-    sizes = _level_sizes(mb.n_leaves)
-    i = tx_position
-    if i >= mb.n_leaves:
+    if tx_position >= mb.n_leaves:
         return False
-    for level, size in enumerate(sizes[:-1]):
-        sib = i ^ 1
-        if sib >= size:
-            sibling = h  # duplicated odd tail
-        else:
-            sibling = mb.nodes.get((level, sib))
-            if sibling is None:
-                return False
+    h = txid(tx)
+    for level, i, sib in _copath_steps(mb.n_leaves, tx_position):
+        sibling = h if sib is None else mb.nodes.get((level, sib))
+        if sibling is None:
+            return False
         h = dsha256(h + sibling if i % 2 == 0 else sibling + h)
-        i //= 2
     return h == mb.merkle_root
 
 
@@ -306,19 +296,6 @@ _WIDTH_TOKENS = {0: 1, 1: 1, 3: 2, 5: 3, 9: 4}
 
 def script_ref(script: bytes) -> bytes:
     return hashlib.sha256(script).digest()[:REF_LEN]
-
-
-class IdentityScriptCodec:
-    """Classic length-varint + bytes framing (no dedup)."""
-
-    def encode(self, script: bytes, width: int) -> bytes:
-        return encode_varint(VarInt(len(script), width)) + script
-
-    def decode(self, data: bytes, offset: int) -> tuple[bytes, int, int]:
-        v, used = decode_varint(data, offset)
-        if offset + used + v.value > len(data):
-            raise TruncationError("script cut short", offset=offset, field="script")
-        return bytes(data[offset + used : offset + used + v.value]), v.width, used + v.value
 
 
 class RefScriptCodec:
@@ -337,18 +314,15 @@ class RefScriptCodec:
         if script in self.rewrite:
             token = _WIDTH_TOKENS[width]
             return bytes([token]) + script_ref(script)
-        return b"\x00" + encode_varint(VarInt(len(script), width)) + script
+        return b"\x00" + IDENTITY_CODEC.encode(script, width)
 
     def decode(self, data: bytes, offset: int) -> tuple[bytes, int, int]:
         if offset >= len(data):
             raise TruncationError("script token missing", offset=offset, field="script token")
         token = data[offset]
         if token == _TOKEN_INLINE:
-            v, used = decode_varint(data, offset + 1)
-            start = offset + 1 + used
-            if start + v.value > len(data):
-                raise TruncationError("script cut short", offset=offset, field="script")
-            return bytes(data[start : start + v.value]), v.width, 1 + used + v.value
+            script, width, used = IDENTITY_CODEC.decode(data, offset + 1)
+            return script, width, 1 + used
         if token not in _TOKEN_REF_WIDTHS:
             raise DecodeError(f"unknown script token {token}", offset=offset, field="script token")
         if offset + 1 + REF_LEN > len(data):
@@ -360,104 +334,9 @@ class RefScriptCodec:
         return script, _TOKEN_REF_WIDTHS[token], 1 + REF_LEN
 
 
-IDENTITY_CODEC = IdentityScriptCodec()
-
-
-def encode_stored_tx(tx: Transaction, codec=IDENTITY_CODEC) -> bytes:
-    """Transaction serialization with script fields run through ``codec``.
-
-    With the identity codec this equals the wire serialization byte for
-    byte.
-    """
-    parts = [_U32.pack(tx.version)]
-    if tx.has_witness_flag:
-        parts.append(b"\x00\x01")
-    parts.append(encode_varint(VarInt(len(tx.inputs), tx.input_count_width)))
-    for txin in tx.inputs:
-        parts.append(txin.previous_output.tx_hash)
-        parts.append(_U32.pack(txin.previous_output.index))
-        parts.append(codec.encode(txin.script, txin.script_len_width))
-        parts.append(_U32.pack(txin.sequence))
-    parts.append(encode_varint(VarInt(len(tx.outputs), tx.output_count_width)))
-    for txout in tx.outputs:
-        parts.append(_U64.pack(txout.value))
-        parts.append(codec.encode(txout.script, txout.script_len_width))
-    if tx.has_witness_flag:
-        for stack in tx.witnesses:
-            parts.append(encode_varint(VarInt(len(stack.items), stack.count_width)))
-            for i, item in enumerate(stack.items):
-                parts.append(codec.encode(item, stack._width_for(i)))
-    parts.append(_U32.pack(tx.lock_time))
-    return b"".join(parts)
-
-
-def decode_stored_tx(data: bytes, offset: int = 0, codec=IDENTITY_CODEC) -> tuple[Transaction, int]:
-    start = offset
-
-    def need(count, what):
-        if offset + count > len(data):
-            raise TruncationError(f"need {count} byte(s)", offset=offset, field=what)
-
-    need(4, "version")
-    version = _U32.unpack_from(data, offset)[0]
-    offset += 4
-    has_witness = False
-    need(1, "input count")
-    if data[offset] == 0x00:
-        need(2, "witness flag")
-        if data[offset + 1] != 0x01:
-            raise DecodeError("bad witness flag", offset=offset + 1, field="witness flag")
-        has_witness = True
-        offset += 2
-    n_in, used = decode_varint(data, offset)
-    offset += used
-    inputs = []
-    for _ in range(n_in.value):
-        need(36, "previous output")
-        prevout = OutPoint(bytes(data[offset : offset + 32]), _U32.unpack_from(data, offset + 32)[0])
-        offset += 36
-        script, width, consumed = codec.decode(data, offset)
-        offset += consumed
-        need(4, "sequence")
-        seq = _U32.unpack_from(data, offset)[0]
-        offset += 4
-        inputs.append(TxIn(prevout, script, seq, script_len_width=width))
-    n_out, used = decode_varint(data, offset)
-    offset += used
-    outputs = []
-    for _ in range(n_out.value):
-        need(8, "output value")
-        value = _U64.unpack_from(data, offset)[0]
-        offset += 8
-        script, width, consumed = codec.decode(data, offset)
-        offset += consumed
-        outputs.append(TxOut(value, script, script_len_width=width))
-    witnesses = []
-    if has_witness:
-        for _ in range(n_in.value):
-            n_items, used = decode_varint(data, offset)
-            offset += used
-            items, widths = [], []
-            for _ in range(n_items.value):
-                item, width, consumed = codec.decode(data, offset)
-                offset += consumed
-                items.append(item)
-                widths.append(width)
-            witnesses.append(WitnessStack(items, count_width=n_items.width, item_widths=widths))
-    need(4, "lock time")
-    lock_time = _U32.unpack_from(data, offset)[0]
-    offset += 4
-    tx = Transaction(
-        version,
-        inputs,
-        outputs,
-        lock_time,
-        has_witness_flag=has_witness,
-        witnesses=witnesses,
-        input_count_width=n_in.width,
-        output_count_width=n_out.width,
-    )
-    return tx, offset - start
+# A stored transaction is the wire layout with a script codec.
+encode_stored_tx = encode_transaction
+decode_stored_tx = decode_transaction
 
 
 # ---------------------------------------------------------------------------
@@ -485,6 +364,10 @@ class SlackStats:
     prevout_bigindex_fallback: int = 0
     bytes_in: int = 0
     bytes_out: int = 0
+
+    def add(self, other: SlackStats) -> None:
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
 
 def _as_locate(locator):
@@ -515,7 +398,7 @@ def slack_encode(tx: Transaction, locator=None, stats: SlackStats | None = None,
     non-coinbase prevout is stored verbatim.
     """
     locate = _as_locate(locator)
-    plain = encode_stored_tx(tx, codec)
+    plain = encode_transaction(tx, codec)
 
     n_in = len(tx.inputs)
     bits = [0] * (4 + 3 * n_in)
@@ -577,10 +460,7 @@ def slack_encode(tx: Transaction, locator=None, stats: SlackStats | None = None,
         parts.append(encode_varint(txout.value))
         parts.append(codec.encode(txout.script, txout.script_len_width))
     if tx.has_witness_flag:
-        for stack in tx.witnesses:
-            parts.append(encode_varint(VarInt(len(stack.items), stack.count_width)))
-            for i, item in enumerate(stack.items):
-                parts.append(codec.encode(item, stack._width_for(i)))
+        encode_witness_stacks(tx.witnesses, parts, codec)
     compact = b"".join(parts)
 
     if stats is not None:
@@ -607,12 +487,17 @@ def slack_encode(tx: Transaction, locator=None, stats: SlackStats | None = None,
 
 
 def slack_decode(data: bytes, resolver=None, offset: int = 0, codec=IDENTITY_CODEC) -> tuple[bytes, int]:
-    """Inverse of :func:`slack_encode`.
+    """Inverse of :func:`slack_encode`: (original transaction bytes, bytes consumed)."""
+    tx, used = slack_decode_tx(data, resolver, offset, codec)
+    return encode_transaction(tx), used
 
-    Returns (original transaction bytes, bytes consumed).  ``resolver``
-    maps (height, tx_index) back to a txid; an unresolvable position
-    means the record is unreadable (store corruption or a locator that
-    does not cover the reference).
+
+def slack_decode_tx(data: bytes, resolver=None, offset: int = 0, codec=IDENTITY_CODEC) -> tuple[Transaction, int]:
+    """Decode one :func:`slack_encode` record; returns (transaction, bytes consumed).
+
+    ``resolver`` maps (height, tx_index) back to a txid; an unresolvable
+    position means the record is unreadable (store corruption or a
+    locator that does not cover the reference).
     """
     start = offset
     if offset >= len(data):
@@ -620,9 +505,8 @@ def slack_decode(data: bytes, resolver=None, offset: int = 0, codec=IDENTITY_COD
     tag = data[offset]
     offset += 1
     if tag == _TAG_PASSTHROUGH:
-        tx, used = decode_stored_tx(data, offset, codec)
-        raw = encode_transaction(tx)
-        return raw, 1 + used
+        tx, used = decode_transaction(data, offset, codec)
+        return tx, 1 + used
     if tag != _TAG_COMPACT:
         raise DecodeError(f"unknown compact tag 0x{tag:02x}", offset=start, field="slack tag")
     resolve = _as_resolve(resolver) if resolver is not None else None
@@ -708,16 +592,7 @@ def slack_decode(data: bytes, resolver=None, offset: int = 0, codec=IDENTITY_COD
 
     witnesses = []
     if has_witness:
-        for _ in range(n_in):
-            n_items, used = decode_varint(data, offset)
-            offset += used
-            items, widths = [], []
-            for _ in range(n_items.value):
-                item, width, consumed = codec.decode(data, offset)
-                offset += consumed
-                items.append(item)
-                widths.append(width)
-            witnesses.append(WitnessStack(items, count_width=n_items.width, item_widths=widths))
+        witnesses, offset = decode_witness_stacks(data, offset, n_in, codec)
 
     tx = Transaction(
         version,
@@ -729,7 +604,7 @@ def slack_decode(data: bytes, resolver=None, offset: int = 0, codec=IDENTITY_COD
         input_count_width=n_in_v.width,
         output_count_width=n_out_v.width,
     )
-    return encode_transaction(tx), offset - start
+    return tx, offset - start
 
 
 # ---------------------------------------------------------------------------

@@ -178,12 +178,64 @@ class Transaction:
         return len(self.inputs) == 1 and self.inputs[0].previous_output.is_coinbase()
 
 
-def decode_transaction(data: bytes, offset: int = 0) -> tuple[Transaction, int]:
+class IdentityScriptCodec:
+    """Wire framing of a script field: length varint + script bytes.
+
+    Every transaction and block codec function takes a script codec for
+    its script fields (input scripts, output scripts, witness items), so
+    the store's dedup framing (``strategies.RefScriptCodec``) shares the
+    one transaction layout.  This identity codec is the default.
+    """
+
+    def encode(self, script: bytes, width: int) -> bytes:
+        n = len(script)
+        if n < 0xFD and width <= 1:  # one-byte length: no VarInt object needed
+            return bytes((n,)) + script
+        return encode_varint(VarInt(n, width)) + script
+
+    def decode(self, data: bytes, offset: int) -> tuple[bytes, int, int]:
+        """Returns (script, stored length-varint width, bytes consumed)."""
+        n, used = decode_varint(data, offset)
+        start = offset + used
+        _need(data, start, n.value, "script")
+        return bytes(data[start : start + n.value]), n.width, used + n.value
+
+
+IDENTITY_CODEC = IdentityScriptCodec()
+
+
+def encode_witness_stacks(stacks: list, parts: list, codec=IDENTITY_CODEC) -> None:
+    """Append each input's witness item count and items to ``parts``."""
+    for stack in stacks:
+        parts.append(encode_varint(VarInt(len(stack.items), stack.count_width)))
+        for i, item in enumerate(stack.items):
+            parts.append(codec.encode(item, stack._width_for(i)))
+
+
+def decode_witness_stacks(data: bytes, offset: int, n_inputs: int, codec=IDENTITY_CODEC) -> tuple[list, int]:
+    """Decode one witness stack per input; returns (stacks, offset after them)."""
+    stacks = []
+    for _ in range(n_inputs):
+        n_items, used = decode_varint(data, offset)
+        offset += used
+        items = []
+        widths = []
+        for _ in range(n_items.value):
+            item, width, used = codec.decode(data, offset)
+            offset += used
+            items.append(item)
+            widths.append(width)
+        stacks.append(WitnessStack(items, count_width=n_items.width, item_widths=widths))
+    return stacks, offset
+
+
+def decode_transaction(data: bytes, offset: int = 0, codec=IDENTITY_CODEC) -> tuple[Transaction, int]:
     """Decode one transaction starting at ``offset``; returns (tx, bytes consumed).
 
     Recognizes the segwit marker/flag pair (0x00 0x01) after the version
     word.  A leading 0x00 input count can only mean an attempted segwit
-    encoding, since transactions with zero inputs are invalid.
+    encoding, since transactions with zero inputs are invalid.  Script
+    fields are read through ``codec``.
     """
     start = offset
     _need(data, offset, 4, "version")
@@ -213,15 +265,12 @@ def decode_transaction(data: bytes, offset: int = 0) -> tuple[Transaction, int]:
         _need(data, offset, 36, "previous output")
         prevout = OutPoint(bytes(data[offset : offset + 32]), _U32.unpack_from(data, offset + 32)[0])
         offset += 36
-        slen, used = decode_varint(data, offset)
+        script, width, used = codec.decode(data, offset)
         offset += used
-        _need(data, offset, slen.value, "input script")
-        script = bytes(data[offset : offset + slen.value])
-        offset += slen.value
         _need(data, offset, 4, "sequence")
         sequence = _U32.unpack_from(data, offset)[0]
         offset += 4
-        inputs.append(TxIn(prevout, script, sequence, script_len_width=slen.width))
+        inputs.append(TxIn(prevout, script, sequence, script_len_width=width))
 
     n_out, used = decode_varint(data, offset)
     offset += used
@@ -237,28 +286,13 @@ def decode_transaction(data: bytes, offset: int = 0) -> tuple[Transaction, int]:
                 f"output value {value} exceeds coin supply cap", offset=offset, field="output value"
             )
         offset += 8
-        slen, used = decode_varint(data, offset)
+        script, width, used = codec.decode(data, offset)
         offset += used
-        _need(data, offset, slen.value, "output script")
-        script = bytes(data[offset : offset + slen.value])
-        offset += slen.value
-        outputs.append(TxOut(value, script, script_len_width=slen.width))
+        outputs.append(TxOut(value, script, script_len_width=width))
 
     witnesses = []
     if has_witness:
-        for _ in range(n_in.value):
-            n_items, used = decode_varint(data, offset)
-            offset += used
-            items = []
-            widths = []
-            for _ in range(n_items.value):
-                ilen, used = decode_varint(data, offset)
-                offset += used
-                _need(data, offset, ilen.value, "witness item")
-                items.append(bytes(data[offset : offset + ilen.value]))
-                widths.append(ilen.width)
-                offset += ilen.value
-            witnesses.append(WitnessStack(items, count_width=n_items.width, item_widths=widths))
+        witnesses, offset = decode_witness_stacks(data, offset, n_in.value, codec)
 
     _need(data, offset, 4, "lock time")
     lock_time = _U32.unpack_from(data, offset)[0]
@@ -291,34 +325,31 @@ def _check_tx_invariants(tx: Transaction) -> None:
             raise EncodeError(f"output value {out.value} out of range")
 
 
-def _encode_tx_body(tx: Transaction, parts: list[bytes]) -> None:
+def _encode_tx_body(tx: Transaction, parts: list[bytes], codec) -> None:
     parts.append(encode_varint(VarInt(len(tx.inputs), tx.input_count_width)))
     for txin in tx.inputs:
         parts.append(txin.previous_output.tx_hash)
         parts.append(_U32.pack(txin.previous_output.index))
-        parts.append(encode_varint(VarInt(len(txin.script), txin.script_len_width)))
-        parts.append(txin.script)
+        parts.append(codec.encode(txin.script, txin.script_len_width))
         parts.append(_U32.pack(txin.sequence))
     parts.append(encode_varint(VarInt(len(tx.outputs), tx.output_count_width)))
     for txout in tx.outputs:
         parts.append(_U64.pack(txout.value))
-        parts.append(encode_varint(VarInt(len(txout.script), txout.script_len_width)))
-        parts.append(txout.script)
+        parts.append(codec.encode(txout.script, txout.script_len_width))
 
 
-def encode_transaction(tx: Transaction) -> bytes:
-    """Serialize a transaction, reproducing recorded varint widths bit-exactly."""
+def encode_transaction(tx: Transaction, codec=IDENTITY_CODEC) -> bytes:
+    """Serialize a transaction, reproducing recorded varint widths bit-exactly.
+
+    Script fields are written through ``codec``.
+    """
     _check_tx_invariants(tx)
     parts = [_U32.pack(tx.version)]
     if tx.has_witness_flag:
         parts.append(b"\x00\x01")
-    _encode_tx_body(tx, parts)
+    _encode_tx_body(tx, parts, codec)
     if tx.has_witness_flag:
-        for stack in tx.witnesses:
-            parts.append(encode_varint(VarInt(len(stack.items), stack.count_width)))
-            for i, item in enumerate(stack.items):
-                parts.append(encode_varint(VarInt(len(item), stack._width_for(i))))
-                parts.append(item)
+        encode_witness_stacks(tx.witnesses, parts, codec)
     parts.append(_U32.pack(tx.lock_time))
     return b"".join(parts)
 
@@ -327,7 +358,7 @@ def encode_transaction_legacy(tx: Transaction) -> bytes:
     """Witness-stripped serialization, the preimage of the txid."""
     _check_tx_invariants(tx)
     parts = [_U32.pack(tx.version)]
-    _encode_tx_body(tx, parts)
+    _encode_tx_body(tx, parts, IDENTITY_CODEC)
     parts.append(_U32.pack(tx.lock_time))
     return b"".join(parts)
 
@@ -412,8 +443,11 @@ class Block:
         return self.header.block_hash()
 
 
-def decode_block(data: bytes) -> Block:
-    """Decode one block body (header + transactions); rejects trailing bytes."""
+def decode_block(data: bytes, codec=IDENTITY_CODEC) -> Block:
+    """Decode one block body (header + transactions); rejects trailing bytes.
+
+    Script fields are read through ``codec``.
+    """
     header = decode_header(data, 0)
     offset = HEADER_SIZE
     n_tx, used = decode_varint(data, offset)
@@ -422,7 +456,7 @@ def decode_block(data: bytes) -> Block:
         raise DecodeError("block has zero transactions", offset=offset, field="tx count")
     txs = []
     for _ in range(n_tx.value):
-        tx, used = decode_transaction(data, offset)
+        tx, used = decode_transaction(data, offset, codec)
         txs.append(tx)
         offset += used
     if offset != len(data):
@@ -434,10 +468,11 @@ def decode_block(data: bytes) -> Block:
     return Block(header, txs, raw_size_bytes=len(data), tx_count_width=n_tx.width)
 
 
-def encode_block(block: Block) -> bytes:
+def encode_block(block: Block, codec=IDENTITY_CODEC) -> bytes:
+    """Serialize a block; script fields are written through ``codec``."""
     parts = [block.header.encode(), encode_varint(VarInt(len(block.transactions), block.tx_count_width))]
     for tx in block.transactions:
-        parts.append(encode_transaction(tx))
+        parts.append(encode_transaction(tx, codec))
     return b"".join(parts)
 
 

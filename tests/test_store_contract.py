@@ -1,4 +1,5 @@
-"""Store decoding contract: corrupt bodies raise LedgerError and nothing else."""
+"""Store decoding contract: corrupt bodies raise LedgerError and nothing else,
+and every record form consumes exactly its bytes."""
 
 import io
 import os
@@ -7,10 +8,18 @@ import random
 import pytest
 
 from ledgerpack.chain import build_chain
-from ledgerpack.errors import LedgerError
+from ledgerpack.errors import LedgerError, StoreError
 from ledgerpack.fixture import ChainPlan, gen_chain
-from ledgerpack.store import BODIES_FILE, build_store_model, decode_store_content, read_store, write_store
-from ledgerpack.strategies import StrategyConfig
+from ledgerpack.store import (
+    BODIES_FILE,
+    KIND_MINIMIZED,
+    build_store_model,
+    decode_store_content,
+    integrity_check,
+    read_store,
+    write_store,
+)
+from ledgerpack.strategies import StrategyConfig, deserialize_minimized, serialize_minimized
 from ledgerpack.wire import read_block_stream
 
 MUTATED_CONFIGS = {
@@ -62,3 +71,30 @@ def test_flipped_body_bytes_raise_only_ledger_errors(chain, tmp_path, label):
             decode_store_content(read_store(path))
         except LedgerError:
             pass
+
+
+@pytest.mark.parametrize(
+    "config, tx_mode",
+    [
+        (StrategyConfig(minimize=True), 0),
+        (StrategyConfig(minimize=True, dedup=True), 0),
+        (StrategyConfig(minimize=True, slack=True), 1),
+    ],
+    ids=["plain", "dedup", "slack"],
+)
+def test_junk_after_kept_tx_is_rejected(chain, tmp_path, config, tx_mode):
+    blocks, state = chain
+    model = build_store_model(blocks, state, config)
+    assert model.dedup_effective == config.dedup
+    rec = next(r for r in model.bodies if r.kind == KIND_MINIMIZED and r.payload[0] == tx_mode)
+    mb = deserialize_minimized(rec.payload[1:], b"", b"")
+    pos, tx_bytes = mb.kept[0]
+    mb.kept[0] = (pos, tx_bytes + b"\x00")
+    rec.payload = rec.payload[:1] + serialize_minimized(mb)
+    path = str(tmp_path / "store")
+    write_store(model, path)
+
+    with pytest.raises(StoreError, match=f"stray bytes after kept tx {pos} "):
+        decode_store_content(read_store(path))
+    report = integrity_check(path)
+    assert [(c.name, c.height) for c in report.failures] == [("decode", None)]
