@@ -195,16 +195,20 @@ class IdentityScriptCodec:
 
     def decode(self, data: bytes, offset: int) -> tuple[bytes, int, int]:
         """Returns (script, stored length-varint width, bytes consumed)."""
-        n, used = decode_varint(data, offset)
+        if offset < len(data) and data[offset] < 0xFD:  # one-byte length: no VarInt object needed
+            n, width, used = data[offset], 1, 1
+        else:
+            v, used = decode_varint(data, offset)
+            n, width = v.value, v.width
         start = offset + used
-        _need(data, start, n.value, "script")
-        return bytes(data[start : start + n.value]), n.width, used + n.value
+        _need(data, start, n, "script")
+        return bytes(data[start : start + n]), width, used + n
 
 
 IDENTITY_CODEC = IdentityScriptCodec()
 
 
-def encode_witness_stacks(stacks: list, parts: list, codec=IDENTITY_CODEC) -> None:
+def encode_witness_stacks(stacks: list, parts: list, codec) -> None:
     """Append each input's witness item count and items to ``parts``."""
     for stack in stacks:
         parts.append(encode_varint(VarInt(len(stack.items), stack.count_width)))
@@ -212,7 +216,7 @@ def encode_witness_stacks(stacks: list, parts: list, codec=IDENTITY_CODEC) -> No
             parts.append(codec.encode(item, stack._width_for(i)))
 
 
-def decode_witness_stacks(data: bytes, offset: int, n_inputs: int, codec=IDENTITY_CODEC) -> tuple[list, int]:
+def decode_witness_stacks(data: bytes, offset: int, n_inputs: int, codec) -> tuple[list, int]:
     """Decode one witness stack per input; returns (stacks, offset after them)."""
     stacks = []
     for _ in range(n_inputs):
