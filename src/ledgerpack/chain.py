@@ -14,14 +14,14 @@ from .errors import ContinuityError, UnknownInputError
 from .wire import OP_RETURN, Block, OutPoint, hash_hex, txid
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpineEntry:
     height: int
     block_hash: bytes
     prev_hash: bytes
 
 
-@dataclass
+@dataclass(slots=True)
 class ChainIndex:
     """Height-ordered spine plus a txid → (height, tx_index) locator."""
 
@@ -44,7 +44,7 @@ class ChainIndex:
         return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UtxoEntry:
     outpoint: OutPoint
     value: int
@@ -52,7 +52,7 @@ class UtxoEntry:
     creation_height: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpentRecord:
     outpoint: OutPoint
     creation_height: int
@@ -118,7 +118,7 @@ def connect_block(
     return spent
 
 
-@dataclass
+@dataclass(slots=True)
 class ChainState:
     index: ChainIndex
     utxos: dict[OutPoint, UtxoEntry]

@@ -42,7 +42,7 @@ from .strategies import (
     serialize_minimized,
     slack_decode_tx,
     slack_encode,
-    verify_tx_in_minimized,
+    verify_leaf_in_minimized,
 )
 from .wire import (
     IDENTITY_CODEC,
@@ -58,8 +58,9 @@ from .wire import (
     encode_block,
     encode_transaction,
     encode_varint,
+    encode_with_txid,
+    join_block,
     merkle_root,
-    txid,
 )
 
 SPINE_FILE = "spine.bin"
@@ -630,16 +631,25 @@ class StoreContent:
     blocks: dict = field(default_factory=dict)  # height -> Block
     block_bytes: dict = field(default_factory=dict)  # height -> original block bytes
     minimized: dict = field(default_factory=dict)  # height -> MinimizedBlock
+    txids: dict = field(default_factory=dict)  # (height, tx_index) -> txid of each decoded tx
 
 
 def decode_store_content(view: StoreView) -> StoreContent:
-    """Decode every body record in file order, resolving compact prevouts."""
+    """Decode every body record in file order, resolving compact prevouts.
+
+    Each restored transaction is serialized once; its wire bytes give
+    both the block bytes and the txid recorded in ``txids``.
+    """
     codec = view.codec()
     content = StoreContent()
-    positions: dict = {}
+    positions = content.txids
 
     def resolve(height, tx_index):
         return positions.get((height, tx_index))
+
+    def restore(height, tx_index, tx):
+        raw, positions[(height, tx_index)] = encode_with_txid(tx)
+        return raw
 
     def spine_header(rec):
         header = view.spine[rec.height].header if rec.height < len(view.spine) else None
@@ -652,19 +662,20 @@ def decode_store_content(view: StoreView) -> StoreContent:
     for rec in view.bodies:
         if rec.kind == KIND_RAW:
             block = decode_block(rec.payload, codec)
-            raw = rec.payload if codec is IDENTITY_CODEC else encode_block(block)
-            for i, tx in enumerate(block.transactions):
-                positions[(rec.height, i)] = txid(tx)
+            wire_txs = [restore(rec.height, i, tx) for i, tx in enumerate(block.transactions)]
+            # identity-decoded txs are slices of the payload, which is the block
+            raw = rec.payload if codec is IDENTITY_CODEC else join_block(block, wire_txs)
             content.blocks[rec.height] = block
             content.block_bytes[rec.height] = raw
         elif rec.kind == KIND_COMPACT:
             header = spine_header(rec)
             n_tx, offset = decode_varint(rec.payload, 0)
             txs = []
+            wire_txs = []
             for i in range(n_tx.value):
                 tx, consumed = slack_decode_tx(rec.payload, resolve, offset, codec)
                 offset += consumed
-                positions[(rec.height, i)] = txid(tx)
+                wire_txs.append(restore(rec.height, i, tx))
                 txs.append(tx)
             if offset != len(rec.payload):
                 raise StoreError(
@@ -672,7 +683,7 @@ def decode_store_content(view: StoreView) -> StoreContent:
                     f"{rec.height}"
                 )
             block = Block(header, txs, tx_count_width=n_tx.width)
-            raw = encode_block(block)
+            raw = join_block(block, wire_txs)
             block.raw_size_bytes = len(raw)
             content.blocks[rec.height] = block
             content.block_bytes[rec.height] = raw
@@ -699,8 +710,7 @@ def decode_store_content(view: StoreView) -> StoreContent:
                         f"stray bytes after kept tx {pos} in minimized record at height "
                         f"{rec.height}"
                     )
-                positions[(rec.height, pos)] = txid(tx)
-                kept.append((pos, encode_transaction(tx)))
+                kept.append((pos, restore(rec.height, pos, tx)))
             content.minimized[rec.height] = MinimizedBlock(
                 stored_mb.block_hash,
                 stored_mb.merkle_root,
@@ -814,16 +824,18 @@ def integrity_check(path: str) -> IntegrityReport:
         report.add("decode", None, False, f"{type(exc).__name__}: {exc}")
         return report
 
+    # Leaves come from the txids decoding computed.  A body past the end
+    # of the spine has no hash to compare; the layout checks report it.
     for height, block in content.blocks.items():
-        if block.block_hash() != view.spine[height].block_hash:
+        if height < len(view.spine) and block.block_hash() != view.spine[height].block_hash:
             report.add("block_hash", height, False, "body header does not match spine hash")
             continue
-        root = merkle_root([txid(tx) for tx in block.transactions])
+        root = merkle_root([content.txids[(height, i)] for i in range(len(block.transactions))])
         if root != block.header.merkle_root:
             report.add("merkle_root", height, False, "transactions do not hash to the header root")
     for height, mb in content.minimized.items():
         for pos, _ in mb.kept:
-            if not verify_tx_in_minimized(mb, pos):
+            if not verify_leaf_in_minimized(mb, pos, content.txids[(height, pos)]):
                 report.add(
                     "copath", height, False, f"kept tx at position {pos} fails co-path verification"
                 )

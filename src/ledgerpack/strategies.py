@@ -275,10 +275,15 @@ def verify_tx_in_minimized(mb: MinimizedBlock, tx_position: int) -> bool:
             return False
     except DecodeError:
         return False
-    if tx_position >= mb.n_leaves:
+    return verify_leaf_in_minimized(mb, tx_position, txid(tx))
+
+
+def verify_leaf_in_minimized(mb: MinimizedBlock, position: int, leaf: bytes) -> bool:
+    """Hash a leaf (txid) up its co-path to the root and compare with the header's."""
+    if position >= mb.n_leaves:
         return False
-    h = txid(tx)
-    for level, i, sib in _copath_steps(mb.n_leaves, tx_position):
+    h = leaf
+    for level, i, sib in _copath_steps(mb.n_leaves, position):
         sibling = h if sib is None else mb.nodes.get((level, sib))
         if sibling is None:
             return False
@@ -401,12 +406,14 @@ def slack_encode(tx: Transaction, locator=None, stats: SlackStats | None = None,
     plain = encode_transaction(tx, codec)
 
     n_in = len(tx.inputs)
-    bits = [0] * (4 + 3 * n_in)
     version_common = tx.version in COMMON_VERSIONS
-    bits[0] = 1 if version_common else 0
-    bits[1] = 1 if (version_common and tx.version == COMMON_VERSIONS[1]) else 0
-    bits[2] = 1 if tx.has_witness_flag else 0
-    bits[3] = 1 if tx.lock_time != 0 else 0
+    # bit j of the bitmap is bit j of this integer, written little-endian
+    bits = (
+        version_common
+        | (version_common and tx.version == COMMON_VERSIONS[1]) << 1
+        | tx.has_witness_flag << 2
+        | (tx.lock_time != 0) << 3
+    )
 
     input_parts = []
     n_local = n_coinbase = n_verbatim = n_bigindex = n_seqesc = 0
@@ -430,10 +437,8 @@ def slack_encode(tx: Transaction, locator=None, stats: SlackStats | None = None,
                 kind = _PREVOUT_VERBATIM
                 part = prevout.tx_hash + _U32.pack(prevout.index)
                 n_verbatim += 1
-        bits[base] = kind & 1
-        bits[base + 1] = (kind >> 1) & 1
         seq_escape = txin.sequence != SEQUENCE_DEFAULT
-        bits[base + 2] = 1 if seq_escape else 0
+        bits |= (kind | seq_escape << 2) << base
         if seq_escape:
             n_seqesc += 1
         part += codec.encode(txin.script, txin.script_len_width)
@@ -441,15 +446,10 @@ def slack_encode(tx: Transaction, locator=None, stats: SlackStats | None = None,
             part += _U32.pack(txin.sequence)
         input_parts.append(part)
 
-    bitmap = bytearray((len(bits) + 7) // 8)
-    for j, bit in enumerate(bits):
-        if bit:
-            bitmap[j >> 3] |= 1 << (j & 7)
-
     parts = [
         encode_varint(VarInt(n_in, tx.input_count_width)),
         encode_varint(VarInt(len(tx.outputs), tx.output_count_width)),
-        bytes(bitmap),
+        bits.to_bytes((4 + 3 * n_in + 7) // 8, "little"),
     ]
     if not version_common:
         parts.append(_U32.pack(tx.version))

@@ -8,6 +8,16 @@ stored with and re-encode it unchanged (``encode(decode(b)) == b``).
 
 Hashes are kept in wire order (as serialized).  Use :func:`hash_hex`
 for the conventional reversed display form.
+
+Decoding through the identity codec records each transaction's source
+bytes in :attr:`Transaction.source` (and where its witness begins in
+:attr:`Transaction.witness_at`).  :func:`encode_transaction`,
+:func:`encode_block` and :func:`txid` of such a transaction read those
+bytes instead of serializing it again, so decoded ``Block`` and
+``Transaction`` objects are read-only: they always encode to the bytes
+they were decoded from.  To change one, build a new object or use
+``dataclasses.replace``, whose copy has no source bytes and is encoded
+from its fields.
 """
 
 from __future__ import annotations
@@ -66,7 +76,7 @@ def varint_width(value: int) -> int:
     return 9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VarInt:
     """A compact-size integer together with the width it was stored with.
 
@@ -98,25 +108,29 @@ def decode_varint(data: bytes, offset: int = 0) -> tuple[VarInt, int]:
     return VarInt(_U64.unpack_from(data, offset + 1)[0], 9), 9
 
 
+_ONE_BYTE = [bytes((i,)) for i in range(0xFD)]
+
+
 def encode_varint(v: VarInt | int) -> bytes:
     """Exact inverse of :func:`decode_varint`, including non-canonical widths."""
     if isinstance(v, int):
-        v = VarInt(v)
-    width = v.encoded_width()
+        value, width = v, varint_width(v)
+    else:
+        value, width = v.value, v.encoded_width()
     if width == 1:
-        if v.value >= 0xFD:
-            raise EncodeError(f"value {v.value} does not fit a 1-byte varint")
-        return bytes([v.value])
+        if not 0 <= value < 0xFD:
+            raise EncodeError(f"value {value} does not fit a 1-byte varint")
+        return _ONE_BYTE[value]
     if width == 3:
-        if v.value > 0xFFFF:
-            raise EncodeError(f"value {v.value} does not fit a 3-byte varint")
-        return b"\xfd" + _U16.pack(v.value)
+        if value > 0xFFFF:
+            raise EncodeError(f"value {value} does not fit a 3-byte varint")
+        return b"\xfd" + _U16.pack(value)
     if width == 5:
-        if v.value > 0xFFFFFFFF:
-            raise EncodeError(f"value {v.value} does not fit a 5-byte varint")
-        return b"\xfe" + _U32.pack(v.value)
+        if value > 0xFFFFFFFF:
+            raise EncodeError(f"value {value} does not fit a 5-byte varint")
+        return b"\xfe" + _U32.pack(value)
     if width == 9:
-        return b"\xff" + _U64.pack(v.value)
+        return b"\xff" + _U64.pack(value)
     raise EncodeError(f"invalid varint width {width}")
 
 
@@ -124,7 +138,7 @@ def encode_varint(v: VarInt | int) -> bytes:
 # transaction model
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OutPoint:
     """(txid, output index) pair naming one transaction output."""
 
@@ -135,7 +149,7 @@ class OutPoint:
         return self.tx_hash == COINBASE_PREVOUT_HASH and self.index == COINBASE_PREVOUT_INDEX
 
 
-@dataclass
+@dataclass(slots=True)
 class TxIn:
     previous_output: OutPoint
     script: bytes
@@ -144,14 +158,14 @@ class TxIn:
     script_len_width: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class TxOut:
     value: int
     script: bytes
     script_len_width: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class WitnessStack:
     """The witness items of one input; empty list for inputs without witness."""
 
@@ -163,7 +177,7 @@ class WitnessStack:
         return self.item_widths[i] if self.item_widths else 0
 
 
-@dataclass
+@dataclass(slots=True)
 class Transaction:
     version: int
     inputs: list[TxIn]
@@ -173,6 +187,11 @@ class Transaction:
     witnesses: list[WitnessStack] = field(default_factory=list)
     input_count_width: int = 0
     output_count_width: int = 0
+    # Set only by decoding through the identity codec: the wire bytes the
+    # tx was read from, and the offset of its witness within them (0 when
+    # it has none).  Built txs and dataclasses.replace copies have none.
+    source: bytes | None = field(default=None, init=False, repr=False, compare=False)
+    witness_at: int = field(default=0, init=False, repr=False, compare=False)
 
     def is_coinbase(self) -> bool:
         return len(self.inputs) == 1 and self.inputs[0].previous_output.is_coinbase()
@@ -295,7 +314,9 @@ def decode_transaction(data: bytes, offset: int = 0, codec=IDENTITY_CODEC) -> tu
         outputs.append(TxOut(value, script, script_len_width=width))
 
     witnesses = []
+    witness_at = 0
     if has_witness:
+        witness_at = offset - start
         witnesses, offset = decode_witness_stacks(data, offset, n_in.value, codec)
 
     _need(data, offset, 4, "lock time")
@@ -312,6 +333,9 @@ def decode_transaction(data: bytes, offset: int = 0, codec=IDENTITY_CODEC) -> tu
         input_count_width=n_in.width,
         output_count_width=n_out.width,
     )
+    if codec is IDENTITY_CODEC:
+        tx.source = bytes(data[start:offset])
+        tx.witness_at = witness_at
     return tx, offset - start
 
 
@@ -342,24 +366,43 @@ def _encode_tx_body(tx: Transaction, parts: list[bytes], codec) -> None:
         parts.append(codec.encode(txout.script, txout.script_len_width))
 
 
-def encode_transaction(tx: Transaction, codec=IDENTITY_CODEC) -> bytes:
-    """Serialize a transaction, reproducing recorded varint widths bit-exactly.
-
-    Script fields are written through ``codec``.
-    """
+def _serialize(tx: Transaction, codec) -> tuple[bytes, int]:
+    """Serialize a transaction from its fields; returns (bytes, witness offset or 0)."""
     _check_tx_invariants(tx)
     parts = [_U32.pack(tx.version)]
     if tx.has_witness_flag:
         parts.append(b"\x00\x01")
     _encode_tx_body(tx, parts, codec)
+    witness_at = 0
     if tx.has_witness_flag:
+        witness_at = sum(map(len, parts))
         encode_witness_stacks(tx.witnesses, parts, codec)
     parts.append(_U32.pack(tx.lock_time))
-    return b"".join(parts)
+    return b"".join(parts), witness_at
+
+
+def encode_transaction(tx: Transaction, codec=IDENTITY_CODEC) -> bytes:
+    """Serialize a transaction, reproducing recorded varint widths bit-exactly.
+
+    Script fields are written through ``codec``.  A transaction decoded
+    through the identity codec encodes to its source bytes.
+    """
+    if tx.source is not None and codec is IDENTITY_CODEC:
+        return tx.source
+    return _serialize(tx, codec)[0]
+
+
+def _legacy_preimage(raw: bytes, witness_at: int) -> bytes:
+    """Witness-stripped form of wire bytes: version + body + lock_time."""
+    if not witness_at:
+        return raw
+    return raw[:4] + raw[6:witness_at] + raw[-4:]
 
 
 def encode_transaction_legacy(tx: Transaction) -> bytes:
     """Witness-stripped serialization, the preimage of the txid."""
+    if tx.source is not None:
+        return _legacy_preimage(tx.source, tx.witness_at)
     _check_tx_invariants(tx)
     parts = [_U32.pack(tx.version)]
     _encode_tx_body(tx, parts, IDENTITY_CODEC)
@@ -370,6 +413,15 @@ def encode_transaction_legacy(tx: Transaction) -> bytes:
 def txid(tx: Transaction) -> bytes:
     """Transaction id: double SHA-256 of the witness-stripped serialization."""
     return dsha256(encode_transaction_legacy(tx))
+
+
+def encode_with_txid(tx: Transaction) -> tuple[bytes, bytes]:
+    """(wire bytes, txid) of a transaction, serializing it at most once."""
+    if tx.source is not None:
+        raw, witness_at = tx.source, tx.witness_at
+    else:
+        raw, witness_at = _serialize(tx, IDENTITY_CODEC)
+    return raw, dsha256(_legacy_preimage(raw, witness_at))
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +456,7 @@ def merkle_root(txids: list[bytes]) -> bytes:
 # blocks and block files
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BlockHeader:
     version: int
     prev_block_hash: bytes
@@ -436,7 +488,7 @@ def decode_header(data: bytes, offset: int = 0) -> BlockHeader:
     return BlockHeader(version, prev, root, ts, bits, nonce)
 
 
-@dataclass
+@dataclass(slots=True)
 class Block:
     header: BlockHeader
     transactions: list[Transaction]
@@ -474,10 +526,13 @@ def decode_block(data: bytes, codec=IDENTITY_CODEC) -> Block:
 
 def encode_block(block: Block, codec=IDENTITY_CODEC) -> bytes:
     """Serialize a block; script fields are written through ``codec``."""
-    parts = [block.header.encode(), encode_varint(VarInt(len(block.transactions), block.tx_count_width))]
-    for tx in block.transactions:
-        parts.append(encode_transaction(tx, codec))
-    return b"".join(parts)
+    return join_block(block, [encode_transaction(tx, codec) for tx in block.transactions])
+
+
+def join_block(block: Block, tx_bytes: list) -> bytes:
+    """A block's bytes from its header and its already serialized transactions."""
+    count = encode_varint(VarInt(len(tx_bytes), block.tx_count_width))
+    return b"".join([block.header.encode(), count, *tx_bytes])
 
 
 def frame_block(block_bytes: bytes, magic: int = MAINNET_MAGIC) -> bytes:
