@@ -8,17 +8,18 @@ the same block yields a lifespan of zero.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 from .errors import ContinuityError, UnknownInputError
-from .wire import OP_RETURN, Block, OutPoint, hash_hex, txid
+from .wire import COINBASE_PREVOUT_HASH, COINBASE_PREVOUT_INDEX, OP_RETURN, Block, OutPoint, hash_hex, txid
 
+# The per-block and per-output records are named tuples: hashing,
+# equality and construction run in C, and there are many of them.
+SpineEntry = namedtuple("SpineEntry", ["height", "block_hash", "prev_hash"])
 
-@dataclass(frozen=True, slots=True)
-class SpineEntry:
-    height: int
-    block_hash: bytes
-    prev_hash: bytes
+_OP_RETURN_BYTE = bytes([OP_RETURN])
+_tuple_new = tuple.__new__  # builds a record from a tuple of its fields, skipping __new__'s frame
 
 
 @dataclass(slots=True)
@@ -44,19 +45,11 @@ class ChainIndex:
         return None
 
 
-@dataclass(frozen=True, slots=True)
-class UtxoEntry:
-    outpoint: OutPoint
-    value: int
-    script: bytes
-    creation_height: int
+UtxoEntry = namedtuple("UtxoEntry", ["outpoint", "value", "script", "creation_height"])
 
 
-@dataclass(frozen=True, slots=True)
-class SpentRecord:
-    outpoint: OutPoint
-    creation_height: int
-    spend_height: int
+class SpentRecord(namedtuple("SpentRecord", ["outpoint", "creation_height", "spend_height"])):
+    __slots__ = ()
 
     @property
     def lifespan(self) -> int:
@@ -88,30 +81,32 @@ def connect_block(
 
     spent = []
     height_txids = []
+    locator = index.locator
+    pop = utxos.pop
     for tx_index, tx in enumerate(block.transactions):
         for txin in tx.inputs:
             prevout = txin.previous_output
-            if prevout.is_coinbase():
+            if prevout.index == COINBASE_PREVOUT_INDEX and prevout.tx_hash == COINBASE_PREVOUT_HASH:
                 continue
-            entry = utxos.pop(prevout, None)
+            entry = pop(prevout, None)
             if entry is None:
                 raise UnknownInputError(
                     f"height {height} tx {tx_index} spends unknown outpoint "
                     f"{hash_hex(prevout.tx_hash)}:{prevout.index}"
                 )
-            spent.append(SpentRecord(prevout, entry.creation_height, height))
+            spent.append(_tuple_new(SpentRecord, (prevout, entry.creation_height, height)))
 
         t = txid(tx)
-        if t in index.locator:
+        if t in locator:
             index.duplicate_txids += 1
-        index.locator[t] = (height, tx_index)
+        locator[t] = (height, tx_index)
         height_txids.append(t)
 
         for out_index, txout in enumerate(tx.outputs):
-            if exclude_unspendable and txout.script[:1] == bytes([OP_RETURN]):
+            if exclude_unspendable and txout.script[:1] == _OP_RETURN_BYTE:
                 continue
-            outpoint = OutPoint(t, out_index)
-            utxos[outpoint] = UtxoEntry(outpoint, txout.value, txout.script, height)
+            outpoint = _tuple_new(OutPoint, (t, out_index))
+            utxos[outpoint] = _tuple_new(UtxoEntry, (outpoint, txout.value, txout.script, height))
 
     index.spine.append(SpineEntry(height, block.block_hash(), block.header.prev_block_hash))
     index.txids.append(height_txids)

@@ -8,6 +8,7 @@ Reports go to stdout (CSV by default, line-delimited JSON with
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 from .analytics import (
@@ -21,7 +22,6 @@ from .analytics import (
 )
 from .chain import build_chain
 from .errors import LedgerError
-from .fixture import ChainPlan, gen_chain
 from .reporting import render_rows, write_output
 from .store import build_store_model, estimate_footprint, integrity_check, write_store
 from .strategies import PruneConfig, StrategyConfig
@@ -295,6 +295,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_genchain(args) -> int:
+    from .fixture import ChainPlan, gen_chain  # only this command needs the generator
+
     plan = ChainPlan(
         seed=args.seed,
         n_blocks=args.blocks,
@@ -419,16 +421,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # A command builds many small objects and no reference cycles,
+    # so the cyclic collector would only rescan an ever larger heap: run
+    # the command without it and restore the caller's setting afterwards.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
-        return args.func(args)
-    except LedgerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        try:
+            return args.func(args)
+        except LedgerError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

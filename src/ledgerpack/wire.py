@@ -18,12 +18,17 @@ bytes instead of serializing it again, so decoded ``Block`` and
 they were decoded from.  To change one, build a new object or use
 ``dataclasses.replace``, whose copy has no source bytes and is encoded
 from its fields.
+
+:class:`OutPoint` is a named tuple (as are the records of
+:mod:`ledgerpack.chain`), so it hashes and compares in C and also
+compares equal to a plain ``(tx_hash, index)`` tuple.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 from .errors import DecodeError, EncodeError, FramingError, TruncationError
@@ -50,13 +55,17 @@ def hash_hex(h: bytes) -> str:
     return h[::-1].hex()
 
 
+def _truncated(data: bytes, offset: int, count: int, field_name: str) -> TruncationError:
+    return TruncationError(
+        f"need {count} byte(s), have {len(data) - offset}",
+        offset=offset,
+        field=field_name,
+    )
+
+
 def _need(data: bytes, offset: int, count: int, field_name: str) -> None:
     if offset + count > len(data):
-        raise TruncationError(
-            f"need {count} byte(s), have {len(data) - offset}",
-            offset=offset,
-            field=field_name,
-        )
+        raise _truncated(data, offset, count, field_name)
 
 
 # ---------------------------------------------------------------------------
@@ -138,15 +147,17 @@ def encode_varint(v: VarInt | int) -> bytes:
 # transaction model
 
 
-@dataclass(frozen=True, slots=True)
-class OutPoint:
-    """(txid, output index) pair naming one transaction output."""
+class OutPoint(namedtuple("OutPoint", ["tx_hash", "index"])):
+    """(txid, output index) pair naming one transaction output.
 
-    tx_hash: bytes
-    index: int
+    A named tuple, so hashing and equality run in C; it also compares
+    equal to a plain ``(tx_hash, index)`` tuple.
+    """
+
+    __slots__ = ()
 
     def is_coinbase(self) -> bool:
-        return self.tx_hash == COINBASE_PREVOUT_HASH and self.index == COINBASE_PREVOUT_INDEX
+        return self.index == COINBASE_PREVOUT_INDEX and self.tx_hash == COINBASE_PREVOUT_HASH
 
 
 @dataclass(slots=True)
@@ -235,20 +246,55 @@ def encode_witness_stacks(stacks: list, parts: list, codec) -> None:
             parts.append(codec.encode(item, stack._width_for(i)))
 
 
+# The decoders below are the hot loop of every command, so they read
+# one-byte varints and identity-codec script fields inline and check
+# bounds without a call per field.  Each error they raise is the one
+# _need, decode_varint or IdentityScriptCodec.decode raises for the
+# same bytes; tests/test_wire_reference.py compares them with the
+# decoders they replaced.
+
+_PREVOUT = struct.Struct("<32sI")
+_tuple_new = tuple.__new__  # builds an OutPoint from an unpacked (hash, index) pair
+
+
+def _wide_varint(data: bytes, offset: int) -> tuple[int, int]:
+    """(value, width) of a varint that is not one byte, or is cut off."""
+    v, used = decode_varint(data, offset)
+    return v.value, used
+
+
 def decode_witness_stacks(data: bytes, offset: int, n_inputs: int, codec) -> tuple[list, int]:
     """Decode one witness stack per input; returns (stacks, offset after them)."""
+    if type(data) is not bytes:
+        data = bytes(data)
+    end = len(data)
+    identity = codec is IDENTITY_CODEC
     stacks = []
     for _ in range(n_inputs):
-        n_items, used = decode_varint(data, offset)
-        offset += used
+        if offset < end and (n_items := data[offset]) < 0xFD:
+            count_width = 1
+        else:
+            n_items, count_width = _wide_varint(data, offset)
+        offset += count_width
         items = []
         widths = []
-        for _ in range(n_items.value):
-            item, width, used = codec.decode(data, offset)
-            offset += used
-            items.append(item)
+        for _ in range(n_items):
+            if identity:
+                if offset < end and (n := data[offset]) < 0xFD:
+                    width = 1
+                else:
+                    n, width = _wide_varint(data, offset)
+                offset += width
+                if offset + n > end:
+                    raise _truncated(data, offset, n, "script")
+                items.append(data[offset : offset + n])
+                offset += n
+            else:
+                item, width, used = codec.decode(data, offset)
+                offset += used
+                items.append(item)
             widths.append(width)
-        stacks.append(WitnessStack(items, count_width=n_items.width, item_widths=widths))
+        stacks.append(WitnessStack(items, count_width, widths))
     return stacks, offset
 
 
@@ -258,83 +304,119 @@ def decode_transaction(data: bytes, offset: int = 0, codec=IDENTITY_CODEC) -> tu
     Recognizes the segwit marker/flag pair (0x00 0x01) after the version
     word.  A leading 0x00 input count can only mean an attempted segwit
     encoding, since transactions with zero inputs are invalid.  Script
-    fields are read through ``codec``.
+    fields are read through ``codec``.  ``data`` that is not ``bytes``
+    is copied to ``bytes`` first, so decoded fields are always ``bytes``.
     """
+    if type(data) is not bytes:
+        data = bytes(data)
+    end = len(data)
     start = offset
-    _need(data, offset, 4, "version")
+    identity = codec is IDENTITY_CODEC
+    if offset + 4 > end:
+        raise _truncated(data, offset, 4, "version")
     version = _U32.unpack_from(data, offset)[0]
     offset += 4
 
-    has_witness = False
-    _need(data, offset, 1, "input count")
-    if data[offset] == 0x00:
-        _need(data, offset + 1, 1, "witness flag")
+    if offset >= end:
+        raise _truncated(data, offset, 1, "input count")
+    has_witness = data[offset] == 0x00
+    if has_witness:
+        if offset + 2 > end:
+            raise _truncated(data, offset + 1, 1, "witness flag")
         if data[offset + 1] != 0x01:
             raise DecodeError(
                 f"marker 0x00 followed by flag 0x{data[offset + 1]:02x}, expected 0x01",
                 offset=offset + 1,
                 field="witness flag",
             )
-        has_witness = True
         offset += 2
 
-    n_in, used = decode_varint(data, offset)
-    offset += used
-    if n_in.value == 0:
+    if offset < end and (n_in := data[offset]) < 0xFD:
+        n_in_width = 1
+    else:
+        n_in, n_in_width = _wide_varint(data, offset)
+    offset += n_in_width
+    if n_in == 0:
         raise DecodeError("transaction has zero inputs", offset=offset, field="input count")
 
     inputs = []
-    for _ in range(n_in.value):
-        _need(data, offset, 36, "previous output")
-        prevout = OutPoint(bytes(data[offset : offset + 32]), _U32.unpack_from(data, offset + 32)[0])
+    for _ in range(n_in):
+        if offset + 36 > end:
+            raise _truncated(data, offset, 36, "previous output")
+        prevout = _tuple_new(OutPoint, _PREVOUT.unpack_from(data, offset))
         offset += 36
-        script, width, used = codec.decode(data, offset)
-        offset += used
-        _need(data, offset, 4, "sequence")
-        sequence = _U32.unpack_from(data, offset)[0]
+        if identity:
+            if offset < end and (n := data[offset]) < 0xFD:
+                width = 1
+            else:
+                n, width = _wide_varint(data, offset)
+            offset += width
+            if offset + n > end:
+                raise _truncated(data, offset, n, "script")
+            script = data[offset : offset + n]
+            offset += n
+        else:
+            script, width, used = codec.decode(data, offset)
+            offset += used
+        if offset + 4 > end:
+            raise _truncated(data, offset, 4, "sequence")
+        inputs.append(TxIn(prevout, script, _U32.unpack_from(data, offset)[0], width))
         offset += 4
-        inputs.append(TxIn(prevout, script, sequence, script_len_width=width))
 
-    n_out, used = decode_varint(data, offset)
-    offset += used
-    if n_out.value == 0:
+    if offset < end and (n_out := data[offset]) < 0xFD:
+        n_out_width = 1
+    else:
+        n_out, n_out_width = _wide_varint(data, offset)
+    offset += n_out_width
+    if n_out == 0:
         raise DecodeError("transaction has zero outputs", offset=offset, field="output count")
 
     outputs = []
-    for _ in range(n_out.value):
-        _need(data, offset, 8, "output value")
+    for _ in range(n_out):
+        if offset + 8 > end:
+            raise _truncated(data, offset, 8, "output value")
         value = _U64.unpack_from(data, offset)[0]
         if value > MAX_MONEY:
             raise DecodeError(
                 f"output value {value} exceeds coin supply cap", offset=offset, field="output value"
             )
         offset += 8
-        script, width, used = codec.decode(data, offset)
-        offset += used
-        outputs.append(TxOut(value, script, script_len_width=width))
+        if identity:
+            if offset < end and (n := data[offset]) < 0xFD:
+                width = 1
+            else:
+                n, width = _wide_varint(data, offset)
+            offset += width
+            if offset + n > end:
+                raise _truncated(data, offset, n, "script")
+            script = data[offset : offset + n]
+            offset += n
+        else:
+            script, width, used = codec.decode(data, offset)
+            offset += used
+        outputs.append(TxOut(value, script, width))
 
     witnesses = []
     witness_at = 0
     if has_witness:
         witness_at = offset - start
-        witnesses, offset = decode_witness_stacks(data, offset, n_in.value, codec)
+        witnesses, offset = decode_witness_stacks(data, offset, n_in, codec)
 
-    _need(data, offset, 4, "lock time")
-    lock_time = _U32.unpack_from(data, offset)[0]
-    offset += 4
-
+    if offset + 4 > end:
+        raise _truncated(data, offset, 4, "lock time")
     tx = Transaction(
-        version=version,
-        inputs=inputs,
-        outputs=outputs,
-        lock_time=lock_time,
-        has_witness_flag=has_witness,
-        witnesses=witnesses,
-        input_count_width=n_in.width,
-        output_count_width=n_out.width,
+        version,
+        inputs,
+        outputs,
+        _U32.unpack_from(data, offset)[0],
+        has_witness,
+        witnesses,
+        n_in_width,
+        n_out_width,
     )
-    if codec is IDENTITY_CODEC:
-        tx.source = bytes(data[start:offset])
+    offset += 4
+    if identity:
+        tx.source = data[start:offset]
         tx.witness_at = witness_at
     return tx, offset - start
 
@@ -504,6 +586,8 @@ def decode_block(data: bytes, codec=IDENTITY_CODEC) -> Block:
 
     Script fields are read through ``codec``.
     """
+    if type(data) is not bytes:
+        data = bytes(data)
     header = decode_header(data, 0)
     offset = HEADER_SIZE
     n_tx, used = decode_varint(data, offset)
