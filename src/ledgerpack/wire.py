@@ -248,10 +248,10 @@ def encode_witness_stacks(stacks: list, parts: list, codec) -> None:
 
 # The decoders below are the hot loop of every command, so they read
 # one-byte varints and identity-codec script fields inline and check
-# bounds without a call per field.  Each error they raise is the one
-# _need, decode_varint or IdentityScriptCodec.decode raises for the
-# same bytes; tests/test_wire_reference.py compares them with the
-# decoders they replaced.
+# bounds without a call per field.  Each error they raise must be the
+# one _need, decode_varint or IdentityScriptCodec.decode raises for the
+# same bytes; tests/test_wire_reference.py checks both results and
+# errors against a field-by-field reference decoder.
 
 _PREVOUT = struct.Struct("<32sI")
 _tuple_new = tuple.__new__  # builds an OutPoint from an unpacked (hash, index) pair

@@ -1,10 +1,11 @@
-"""The transaction and block decoders as they were before the inlined rewrite.
+"""Field-by-field reference decoders for transactions and blocks.
 
-Kept verbatim as the reference for ``tests/test_wire_reference.py``: the
-current :mod:`ledgerpack.wire` decoders must return equal results and
-raise the same errors (class, message, offset and field) on every input.
-Do not edit these functions to follow changes in ``wire``; they are the
-fixed point the decoder is compared with.
+These are the straightforward decoders, one helper call per field, that
+``ledgerpack.wire`` used before its hot loop was inlined.
+``tests/test_wire_reference.py`` requires the ``wire`` decoders to return
+equal results and raise the same errors (class, message, offset and
+field) on every input.  Do not edit these functions to follow changes in
+``wire``; they are the fixed point the decoder is compared with.
 """
 
 from ledgerpack.errors import DecodeError, TruncationError

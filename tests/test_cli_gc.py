@@ -17,14 +17,21 @@ from ledgerpack import cli
 from ledgerpack.fixture import ChainPlan, gen_chain
 
 
+def set_collector(enabled):
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
 @contextlib.contextmanager
 def collector(enabled):
     was = gc.isenabled()
-    gc.enable() if enabled else gc.disable()
+    set_collector(enabled)
     try:
         yield
     finally:
-        gc.enable() if was else gc.disable()
+        set_collector(was)
 
 
 def run_quietly(argv):
