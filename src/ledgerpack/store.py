@@ -14,9 +14,12 @@ Four files in a directory:
   strategy flags, counts, per-file SHA-256 digests).
 
 Reported byte totals are the first three files exactly; the manifest is
-bookkeeping overhead and excluded.  Body records decode self-contained
-in file order: a compact transaction only references positions that an
-ascending reader has already decoded.
+bookkeeping overhead and excluded.  Each retained block keeps the
+shortest of its faithful records, tried in the order raw, compact,
+minimized with stored txs, minimized with slack txs; a tie goes to the
+earliest.  Body records decode self-contained in file order: a compact
+transaction only references positions that an ascending reader has
+already decoded.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ from .wire import (
     MAINNET_MAGIC,
     Block,
     BlockHeader,
-    OutPoint,
     VarInt,
     decode_block,
     decode_header,
@@ -75,7 +77,25 @@ _KIND_NAMES = {KIND_RAW: "raw", KIND_MINIMIZED: "minimized", KIND_COMPACT: "comp
 
 FORMAT_VERSION = 1
 
-_ALL = object()  # decodable-positions sentinel: every tx of the block
+# manifest lines, in the order they are written
+_MANIFEST_KEYS = (
+    "format",
+    "magic",
+    "tip",
+    "keep_from",
+    "prune",
+    "prune_threshold",
+    "minimize",
+    "slack",
+    "dedup_requested",
+    "dedup",
+    "spine_count",
+    "body_count",
+    "kvs_count",
+    "sha256_spine",
+    "sha256_bodies",
+    "sha256_kvs",
+)
 
 
 @dataclass
@@ -169,25 +189,25 @@ class StoreModel:
             "kvs": hashlib.sha256(self.kvs_bytes()).hexdigest(),
         }
         threshold = self.prune_threshold if self.prune_threshold is not None else -1
-        lines = [
-            f"format={FORMAT_VERSION}",
-            f"magic={self.magic:08x}",
-            f"tip={self.tip}",
-            f"keep_from={self.keep_from}",
-            f"prune={1 if self.config.prune is not None else 0}",
-            f"prune_threshold={threshold}",
-            f"minimize={1 if self.config.minimize else 0}",
-            f"slack={1 if self.config.slack else 0}",
-            f"dedup_requested={1 if self.config.dedup else 0}",
-            f"dedup={1 if self.dedup_effective else 0}",
-            f"spine_count={len(self.spine)}",
-            f"body_count={len(self.bodies)}",
-            f"kvs_count={len(self.kvs)}",
-            f"sha256_spine={digests['spine']}",
-            f"sha256_bodies={digests['bodies']}",
-            f"sha256_kvs={digests['kvs']}",
-        ]
-        body = "\n".join(lines) + "\n"
+        values = (
+            FORMAT_VERSION,
+            f"{self.magic:08x}",
+            self.tip,
+            self.keep_from,
+            int(self.config.prune is not None),
+            threshold,
+            int(self.config.minimize),
+            int(self.config.slack),
+            int(self.config.dedup),
+            int(self.dedup_effective),
+            len(self.spine),
+            len(self.bodies),
+            len(self.kvs),
+            digests["spine"],
+            digests["bodies"],
+            digests["kvs"],
+        )
+        body = "".join(f"{key}={value}\n" for key, value in zip(_MANIFEST_KEYS, values, strict=True))
         # Trailing self-checksum covers every earlier manifest byte, so a
         # flipped digit in tip/keep_from/flags cannot masquerade as a
         # different but internally consistent store.
@@ -199,122 +219,78 @@ class StoreModel:
 # model construction
 
 
-def _unspent_positions(block: Block, height: int, state: ChainState) -> set:
-    """Positions of txs in this block that still carry UTXOs."""
-    keep = set()
-    ids = state.index.txids[height]
-    for i, tx in enumerate(block.transactions):
-        t = ids[i]
-        for j in range(len(tx.outputs)):
-            if OutPoint(t, j) in state.utxos:
-                keep.add(i)
-                break
-    return keep
+def _slack_records(block: Block, height: int, positions, readable: dict, locator: dict, stats, codec):
+    """Yield the slack records of the txs at ``positions`` of block ``height``.
+
+    A prevout becomes a local (height, position) reference only when
+    ``readable`` (height -> tx positions a reader has decoded) holds it.
+    As in the reader's own table, ``readable[height]`` holds the
+    positions already written in this record while it is encoded.
+    """
+    written = readable[height] = set()
+
+    def locate(tx_hash):
+        pos = locator.get(tx_hash)
+        return pos if pos is not None and pos[1] in readable.get(pos[0], ()) else None
+
+    for p in positions:
+        record = slack_encode(block.transactions[p], locate, stats, codec)
+        written.add(p)
+        yield record
 
 
-class _Locators:
-    """Which (height, tx position) pairs an ascending reader can resolve."""
-
-    def __init__(self, chain_locator: dict):
-        self.chain = chain_locator
-        self.decodable: dict = {}
-
-    def register(self, height: int, positions) -> None:
-        self.decodable[height] = positions
-
-    def for_tx(self, height: int, tx_index: int, same_block):
-        """Locator for encoding tx ``tx_index`` of block ``height``;
-        ``same_block`` is _ALL or the set of positions kept alongside it."""
-
-        def locate(tx_hash):
-            pos = self.chain.get(tx_hash)
-            if pos is None:
-                return None
-            h2, i2 = pos
-            if h2 > height or (h2 == height and i2 >= tx_index):
-                return None
-            if h2 == height:
-                return pos if (same_block is _ALL or i2 in same_block) else None
-            entry = self.decodable.get(h2)
-            if entry is None:
-                return None
-            return pos if (entry is _ALL or i2 in entry) else None
-
-        return locate
-
-
-def _encode_compact_payload(
-    block: Block, height: int, locators: _Locators, codec, stats: SlackStats
-) -> bytes:
-    parts = [encode_varint(VarInt(len(block.transactions), block.tx_count_width))]
-    for i, tx in enumerate(block.transactions):
-        parts.append(slack_encode(tx, locators.for_tx(height, i, _ALL), stats, codec))
-    return b"".join(parts)
-
-
-def _encode_minimized_payload(
-    block: Block, height: int, kept: set, ids: list, locators: _Locators, codec, slack_on: bool
-) -> tuple[bytes, SlackStats | None]:
-    """Minimized record payload: 1-byte kept-tx encoding flag (0 = stored
-    form, 1 = compact form) + the co-path serialization.  With slack on,
-    both encodings are tried and the smaller wins, so enabling slack can
-    never grow a minimized record.  Returns the payload and, when the
-    compact form won, the slack stats of its kept txs."""
-    positions = sorted(kept)
-    nodes = copath_nodes(ids, positions)
-
-    def payload_for(flag, kept_list):
-        mb = MinimizedBlock(
-            block.block_hash(), block.header.merkle_root, "copath", len(ids), kept_list, nodes
-        )
-        return bytes([flag]) + serialize_minimized(mb)
-
+def _candidates(block: Block, height: int, kept, index, readable: dict, config, codec):
+    """Yield the block's faithful records in tie-break order, each as (kind,
+    payload, its slack stats or None, the tx positions a reader decodes),
+    one at a time, so a caller that keeps only the best never holds all.
+    """
     txs = block.transactions
-    best = payload_for(0, [(p, encode_transaction(txs[p], codec)) for p in positions])
-    if slack_on:
+    every = range(len(txs))
+    yield KIND_RAW, encode_block(block, codec), None, every
+    if config.slack:
         stats = SlackStats()
-        candidate = payload_for(
-            1,
-            [(p, slack_encode(txs[p], locators.for_tx(height, p, kept), stats, codec)) for p in positions],
-        )
-        if len(candidate) < len(best):
-            return candidate, stats
-    return best, None
+        count = encode_varint(VarInt(len(txs), block.tx_count_width))
+        records = _slack_records(block, height, every, readable, index.locator, stats, codec)
+        yield KIND_COMPACT, b"".join([count, *records]), stats, every
+    if config.minimize and len(kept) < len(txs):
+        # payload: 1-byte kept-tx form (0 = stored, 1 = slack) + co-path serialization
+        ids = index.txids[height]
+        nodes = copath_nodes(ids, kept)
+        block_hash = index.spine[height].block_hash
+
+        def minimized(tx_mode, records):
+            kept_txs = list(zip(kept, records))
+            mb = MinimizedBlock(block_hash, block.header.merkle_root, "copath", len(ids), kept_txs, nodes)
+            return bytes([tx_mode]) + serialize_minimized(mb)
+
+        decoded = set(kept)
+        yield KIND_MINIMIZED, minimized(0, [encode_transaction(txs[p], codec) for p in kept]), None, decoded
+        if config.slack:
+            stats = SlackStats()
+            records = _slack_records(block, height, kept, readable, index.locator, stats, codec)
+            yield KIND_MINIMIZED, minimized(1, records), stats, decoded
 
 
 def _encode_bodies(blocks, state, config, keep_from, kept_by_height, codec):
     """One full encoding pass; returns (body records, slack stats).
 
-    Each candidate record counts its own slack stats, and only the
-    winner's are kept, so the stats reflect exactly the records chosen.
+    Per block the shortest candidate payload wins, the earliest in
+    :func:`_candidates` order on a tie.  Only the winner's slack stats
+    are counted, so the stats reflect exactly the records chosen.
     """
-    locators = _Locators(state.index.locator)
+    readable: dict = {}  # height -> tx positions a reader decodes there
     stats = SlackStats() if config.slack else None
     bodies = []
     for height in range(keep_from, len(blocks)):
-        block = blocks[height]
         kept = kept_by_height.get(height)
         if config.minimize and not kept:
-            locators.register(height, set())
             continue
-
-        kind, payload, payload_stats = KIND_RAW, encode_block(block, codec), None
-        if config.slack:
-            compact_stats = SlackStats()
-            compact_payload = _encode_compact_payload(block, height, locators, codec, compact_stats)
-            if len(compact_payload) < len(payload):
-                kind, payload, payload_stats = KIND_COMPACT, compact_payload, compact_stats
-        if config.minimize and len(kept) < len(block.transactions):
-            minimized_payload, minimized_stats = _encode_minimized_payload(
-                block, height, kept, state.index.txids[height], locators, codec, config.slack
-            )
-            if len(minimized_payload) < len(payload):
-                kind, payload, payload_stats = KIND_MINIMIZED, minimized_payload, minimized_stats
-
-        if payload_stats is not None:
-            stats.add(payload_stats)
+        candidates = _candidates(blocks[height], height, kept, state.index, readable, config, codec)
+        # min() keeps the first of equal payloads
+        kind, payload, record_stats, readable[height] = min(candidates, key=lambda c: len(c[1]))
+        if record_stats is not None:
+            stats.add(record_stats)
         bodies.append(BodyRecord(height, kind, payload))
-        locators.register(height, kept if kind == KIND_MINIMIZED else _ALL)
     return bodies, stats
 
 
@@ -322,11 +298,10 @@ def _script_sites(blocks, bodies, kept_by_height) -> Counter:
     """Occurrences of every script field the chosen body records store."""
     counts: Counter = Counter()
     for rec in bodies:
-        block = blocks[rec.height]
-        kept = kept_by_height.get(rec.height) if rec.kind == KIND_MINIMIZED else None
-        for i, tx in enumerate(block.transactions):
-            if kept is not None and i not in kept:
-                continue
+        txs = blocks[rec.height].transactions
+        positions = kept_by_height[rec.height] if rec.kind == KIND_MINIMIZED else range(len(txs))
+        for i in positions:
+            tx = txs[i]
             for txin in tx.inputs:
                 counts[txin.script] += 1
             for stack in tx.witnesses:
@@ -346,9 +321,11 @@ def build_store_model(
     """Apply the strategy set and lay out the store, without touching disk.
 
     Strategies compose per block: the smallest faithful record wins, so
-    enabling one never grows that block's record.  Requested dedup is
-    dropped (recorded in the manifest) unless its exact effect on body
-    file + KVS bytes is a net saving.
+    enabling one never grows that block's record.  Candidates: raw,
+    compact (slack), minimized with stored txs, minimized with slack txs
+    (minimize, when it drops a tx); a tie goes to the earliest.
+    Requested dedup is dropped (recorded in the manifest) unless its
+    exact effect on body file + KVS bytes is a net saving.
     """
     blocks = list(blocks)
     if state is None:
@@ -364,10 +341,12 @@ def build_store_model(
         threshold = config.prune.resolve(cdf)
         keep_from = prune_keep_from(tip, threshold)
 
-    kept_by_height = {}
+    kept_by_height = {}  # height -> ascending positions of txs that still carry UTXOs
     if config.minimize:
+        unspent = {op.tx_hash for op in state.utxos}
         for height in range(keep_from, len(blocks)):
-            kept_by_height[height] = _unspent_positions(blocks[height], height, state)
+            kept_by_height[height] = [i for i, t in enumerate(state.index.txids[height]) if t in unspent]
+        del unspent  # free its table before the encoding passes
 
     bodies, stats = _encode_bodies(blocks, state, config, keep_from, kept_by_height, IDENTITY_CODEC)
 
@@ -444,26 +423,6 @@ class Manifest:
     digests: dict
 
 
-_MANIFEST_KEYS = {
-    "format",
-    "magic",
-    "tip",
-    "keep_from",
-    "prune",
-    "prune_threshold",
-    "minimize",
-    "slack",
-    "dedup_requested",
-    "dedup",
-    "spine_count",
-    "body_count",
-    "kvs_count",
-    "sha256_spine",
-    "sha256_bodies",
-    "sha256_kvs",
-}
-
-
 def _parse_manifest(text: str) -> Manifest:
     head, sep, tail = text.rpartition("checksum=")
     if not sep or not head.endswith("\n"):
@@ -479,7 +438,7 @@ def _parse_manifest(text: str) -> Manifest:
             raise StoreError(f"manifest line {lineno} is not key=value: {line!r}")
         key, _, value = line.partition("=")
         values[key] = value
-    missing = _MANIFEST_KEYS - set(values)
+    missing = set(_MANIFEST_KEYS) - set(values)
     if missing:
         raise StoreError(f"manifest is missing keys: {sorted(missing)}")
     try:

@@ -23,7 +23,7 @@ import struct
 from collections import Counter
 from dataclasses import dataclass, field, fields
 
-from .analytics import LifespanCdf, percentile
+from .analytics import LifespanCdf, percentile, script_multisets
 from .errors import DecodeError, QuantileUnreachableError, StrategyError, TruncationError
 from .wire import (
     IDENTITY_CODEC,
@@ -641,8 +641,6 @@ def dedup_scripts(counts_or_blocks) -> DedupPlan:
     if isinstance(counts_or_blocks, Counter):
         counts = counts_or_blocks
     else:
-        from .analytics import script_multisets
-
         inputs, outputs = script_multisets(counts_or_blocks)
         counts = inputs + outputs
 

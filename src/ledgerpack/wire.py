@@ -670,9 +670,7 @@ def read_block_stream(source, magic: int = MAINNET_MAGIC):
                 offset=frame_start,
                 field="frame body",
             )
-        block = decode_block(body)
-        block.raw_size_bytes = size
-        yield block, frame_start
+        yield decode_block(body), frame_start
 
 
 def read_block_file(path, magic: int = MAINNET_MAGIC) -> list[Block]:

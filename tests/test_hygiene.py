@@ -1,0 +1,60 @@
+"""Source hygiene: nothing at module level in ``ledgerpack`` goes unused.
+
+Every module-level import must be used in its module, and every
+module-level private (``_name``) function or class must be referenced
+there.  ``__init__.py`` is exempt: its imports are the package's
+re-exports.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "ledgerpack"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _used_names(tree) -> set:
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def _imported_names(tree) -> list:
+    names = []
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Import):
+            names += [a.asname or a.name.split(".")[0] for a in stmt.names]
+        elif isinstance(stmt, ast.ImportFrom) and stmt.module != "__future__":
+            names += [a.asname or a.name for a in stmt.names]
+    return names
+
+
+def _private_defs(tree) -> list:
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return [
+        stmt.name
+        for stmt in tree.body
+        if isinstance(stmt, defs) and stmt.name.startswith("_") and not stmt.name.startswith("__")
+    ]
+
+
+def test_every_module_is_checked():
+    assert {p.name for p in MODULES} >= {"wire.py", "chain.py", "strategies.py", "store.py", "cli.py"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_level_imports_are_used(path):
+    tree = _tree(path)
+    unused = sorted(set(_imported_names(tree)) - _used_names(tree))
+    assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_private_functions_and_classes_have_a_reference(path):
+    tree = _tree(path)
+    unreferenced = sorted(set(_private_defs(tree)) - _used_names(tree))
+    assert not unreferenced, f"{path.name} defines private names nothing references: {unreferenced}"
