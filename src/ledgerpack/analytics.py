@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import AnalyticsError
-from .wire import Block, Transaction, VarInt, encode_varint
+from .wire import Block, Transaction, varint_width
 
 # mainnet heights used by the default CLI flags
 SEGWIT_BOUNDARY = 481_824
@@ -141,7 +141,8 @@ class CompositionBreakdown:
 
 
 def _varint_len(value: int, width: int) -> int:
-    return len(encode_varint(VarInt(value, width)))
+    """Encoded size of a varint stored with ``width`` (0 = canonical)."""
+    return width or varint_width(value)
 
 
 def _add_tx(tx: Transaction, totals: dict) -> None:

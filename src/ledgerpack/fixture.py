@@ -27,10 +27,10 @@ from .wire import (
     Transaction,
     TxIn,
     TxOut,
-    VarInt,
     WitnessStack,
-    encode_block,
+    encode_with_txid,
     frame_block,
+    join_block,
     merkle_root,
     txid,
     varint_width,
@@ -167,25 +167,25 @@ def account_tx(tx: Transaction, comp: dict) -> None:
     header = 4 + 4  # version + lock_time
     if tx.has_witness_flag:
         header += 2
-    header += VarInt(len(tx.inputs), tx.input_count_width).encoded_width()
-    header += VarInt(len(tx.outputs), tx.output_count_width).encoded_width()
+    header += tx.input_count_width or varint_width(len(tx.inputs))
+    header += tx.output_count_width or varint_width(len(tx.outputs))
     comp["tx_header"] += header
     for txin in tx.inputs:
-        comp["txin_fixed"] += 40 + VarInt(len(txin.script), txin.script_len_width).encoded_width()
+        comp["txin_fixed"] += 40 + (txin.script_len_width or varint_width(len(txin.script)))
         comp["txin_script"] += len(txin.script)
     for txout in tx.outputs:
-        comp["txout_fixed"] += 8 + VarInt(len(txout.script), txout.script_len_width).encoded_width()
+        comp["txout_fixed"] += 8 + (txout.script_len_width or varint_width(len(txout.script)))
         comp["txout_script"] += len(txout.script)
     if tx.has_witness_flag:
         for stack in tx.witnesses:
-            w = VarInt(len(stack.items), stack.count_width).encoded_width()
+            w = stack.count_width or varint_width(len(stack.items))
             for i, item in enumerate(stack.items):
-                w += VarInt(len(item), stack._width_for(i)).encoded_width() + len(item)
+                w += (stack._width_for(i) or varint_width(len(item))) + len(item)
             comp["witness"] += w
 
 
 def account_block_header(block: Block, comp: dict) -> None:
-    comp["block_header"] += 80 + VarInt(len(block.transactions), block.tx_count_width).encoded_width()
+    comp["block_header"] += 80 + (block.tx_count_width or varint_width(len(block.transactions)))
 
 
 def gen_chain(plan: ChainPlan) -> tuple[bytes, GroundTruth]:
@@ -200,9 +200,8 @@ def gen_chain(plan: ChainPlan) -> tuple[bytes, GroundTruth]:
     schedule: dict[int, list] = defaultdict(list)
     dormant: list = []
 
-    def register_outputs(tx: Transaction, height: int) -> None:
-        t = txid(tx)
-        for j in range(len(tx.outputs)):
+    def register_outputs(t: bytes, n_outputs: int, height: int) -> None:
+        for j in range(n_outputs):
             op = OutPoint(t, j)
             if rng.random() < plan.dormant_fraction:
                 dormant.append((op, height))
@@ -280,15 +279,22 @@ def gen_chain(plan: ChainPlan) -> tuple[bytes, GroundTruth]:
         if due:
             schedule[height + 1].extend(due)
 
+        # each tx is serialized once: its bytes go into the block, its txid
+        # into the outputs' outpoints and the Merkle root
+        wire_txs = []
+        ids = []
         for tx in txs:
             bookkeep_tx(tx)
-            register_outputs(tx, height)
+            raw, t = encode_with_txid(tx)
+            wire_txs.append(raw)
+            ids.append(t)
+            register_outputs(t, len(tx.outputs), height)
 
         block = Block(
             BlockHeader(
                 1,
                 prev,
-                merkle_root([txid(t) for t in txs]),
+                merkle_root(ids),
                 1_300_000_000 + height,
                 0x1D00FFFF,
                 rng.randrange(1 << 32),
@@ -297,7 +303,7 @@ def gen_chain(plan: ChainPlan) -> tuple[bytes, GroundTruth]:
             tx_count_width=_maybe_wide(len(txs), plan, rng),
         )
         account_block_header(block, gt.composition)
-        raw = encode_block(block)
+        raw = join_block(block, wire_txs)
         block.raw_size_bytes = len(raw)
         frames.append(frame_block(raw, plan.magic))
         prev = block.block_hash()

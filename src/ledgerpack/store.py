@@ -27,7 +27,8 @@ from __future__ import annotations
 import hashlib
 import os
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import add
 
 from .analytics import lifespan_cdf
 from .chain import ChainState, build_chain
@@ -43,8 +44,8 @@ from .strategies import (
     prune_keep_from,
     reduction_percent,
     serialize_minimized,
-    slack_decode_tx,
-    slack_encode,
+    slack_record,
+    slack_restore_tx,
     verify_leaf_in_minimized,
 )
 from .wire import (
@@ -57,10 +58,9 @@ from .wire import (
     decode_header,
     decode_transaction,
     decode_varint,
-    encode_block,
-    encode_transaction,
     encode_varint,
     encode_with_txid,
+    encode_with_witness_at,
     join_block,
     merkle_root,
 )
@@ -219,13 +219,21 @@ class StoreModel:
 # model construction
 
 
-def _slack_records(block: Block, height: int, positions, readable: dict, locator: dict, stats, codec):
-    """Yield the slack records of the txs at ``positions`` of block ``height``.
+_NO_TALLY = (0,) * len(fields(SlackStats))
+
+
+def _slack_records(txs, stored, witness_at, positions, height, readable: dict, locator: dict, codec, reuse=None, hold=()):
+    """The slack records of the txs at ``positions`` of block ``height``,
+    the sum of their tallies, and the (record, tally) of each position in
+    ``hold``, for a later record to reuse.
 
     A prevout becomes a local (height, position) reference only when
     ``readable`` (height -> tx positions a reader has decoded) holds it.
     As in the reader's own table, ``readable[height]`` holds the
     positions already written in this record while it is encoded.
+    ``reuse`` maps positions to (record, tally) pairs made under the same
+    resolutions, which are taken as they are.  Tallies are summed as they
+    come, so a wide block's records do not each keep a tally alive.
     """
     written = readable[height] = set()
 
@@ -233,26 +241,48 @@ def _slack_records(block: Block, height: int, positions, readable: dict, locator
         pos = locator.get(tx_hash)
         return pos if pos is not None and pos[1] in readable.get(pos[0], ()) else None
 
+    records = []
+    total = _NO_TALLY
+    held = {}
     for p in positions:
-        record = slack_encode(block.transactions[p], locate, stats, codec)
+        made = reuse.get(p) if reuse else None
+        if made is None:
+            made = slack_record(txs[p], stored[p], witness_at[p], locate, codec)
+        if p in hold:
+            held[p] = made
+        records.append(made[0])
+        # a list: tuple(map(...)) resizes as it fills, and every 12-tuple it
+        # leaves would sit unused in the interpreter's tuple free list
+        total = list(map(add, total, made[1]))
         written.add(p)
-        yield record
+    return records, total, held
 
 
 def _candidates(block: Block, height: int, kept, index, readable: dict, config, codec):
     """Yield the block's faithful records in tie-break order, each as (kind,
-    payload, its slack stats or None, the tx positions a reader decodes),
+    payload, its slack tally or None, the tx positions a reader decodes),
     one at a time, so a caller that keeps only the best never holds all.
     """
     txs = block.transactions
     every = range(len(txs))
-    yield KIND_RAW, encode_block(block, codec), None, every
+    minimize = config.minimize and len(kept) < len(txs)
+    decoded = set(kept) if minimize else ()
+    # each tx's stored form and its witness offset, serialized once and shared
+    # by the raw record, the slack records and the minimized-stored record
+    stored, witness_at = [], []
+    for tx in txs:
+        raw, at = encode_with_witness_at(tx, codec)
+        stored.append(raw)
+        witness_at.append(at)
+    yield KIND_RAW, join_block(block, stored), None, every
     if config.slack:
-        stats = SlackStats()
         count = encode_varint(VarInt(len(txs), block.tx_count_width))
-        records = _slack_records(block, height, every, readable, index.locator, stats, codec)
-        yield KIND_COMPACT, b"".join([count, *records]), stats, every
-    if config.minimize and len(kept) < len(txs):
+        records, tally, held = _slack_records(
+            txs, stored, witness_at, every, height, readable, index.locator, codec, hold=decoded
+        )
+        yield KIND_COMPACT, b"".join([count, *records]), tally, every
+        del records  # the minimized-slack record below needs only the kept txs' ones
+    if minimize:
         # payload: 1-byte kept-tx form (0 = stored, 1 = slack) + co-path serialization
         ids = index.txids[height]
         nodes = copath_nodes(ids, kept)
@@ -263,20 +293,32 @@ def _candidates(block: Block, height: int, kept, index, readable: dict, config, 
             mb = MinimizedBlock(block_hash, block.header.merkle_root, "copath", len(ids), kept_txs, nodes)
             return bytes([tx_mode]) + serialize_minimized(mb)
 
-        decoded = set(kept)
-        yield KIND_MINIMIZED, minimized(0, [encode_transaction(txs[p], codec) for p in kept]), None, decoded
+        yield KIND_MINIMIZED, minimized(0, [stored[p] for p in kept]), None, decoded
         if config.slack:
-            stats = SlackStats()
-            records = _slack_records(block, height, kept, readable, index.locator, stats, codec)
-            yield KIND_MINIMIZED, minimized(1, records), stats, decoded
+            # A kept tx's compact record resolves its prevouts as this record
+            # would, unless one of them points at a tx of this block that
+            # this record drops: only there do the readable positions differ.
+            locate = index.locator.get
+            reuse = {}
+            for p in kept:
+                for txin in txs[p].inputs:
+                    pos = locate(txin.previous_output.tx_hash)
+                    if pos is not None and pos[0] == height and pos[1] not in decoded:
+                        break
+                else:
+                    reuse[p] = held[p]
+            records, tally, _ = _slack_records(
+                txs, stored, witness_at, kept, height, readable, index.locator, codec, reuse
+            )
+            yield KIND_MINIMIZED, minimized(1, records), tally, decoded
 
 
 def _encode_bodies(blocks, state, config, keep_from, kept_by_height, codec):
     """One full encoding pass; returns (body records, slack stats).
 
     Per block the shortest candidate payload wins, the earliest in
-    :func:`_candidates` order on a tie.  Only the winner's slack stats
-    are counted, so the stats reflect exactly the records chosen.
+    :func:`_candidates` order on a tie.  Only the winner's slack tally
+    is counted, so the stats reflect exactly the records chosen.
     """
     readable: dict = {}  # height -> tx positions a reader decodes there
     stats = SlackStats() if config.slack else None
@@ -287,29 +329,27 @@ def _encode_bodies(blocks, state, config, keep_from, kept_by_height, codec):
             continue
         candidates = _candidates(blocks[height], height, kept, state.index, readable, config, codec)
         # min() keeps the first of equal payloads
-        kind, payload, record_stats, readable[height] = min(candidates, key=lambda c: len(c[1]))
-        if record_stats is not None:
-            stats.add(record_stats)
+        kind, payload, tally, readable[height] = min(candidates, key=lambda c: len(c[1]))
+        if tally is not None:
+            stats.count(tally)
         bodies.append(BodyRecord(height, kind, payload))
     return bodies, stats
 
 
 def _script_sites(blocks, bodies, kept_by_height) -> Counter:
     """Occurrences of every script field the chosen body records store."""
-    counts: Counter = Counter()
+    scripts = []  # in field order, so the counter's first-seen order is the stores'
+    extend = scripts.extend
     for rec in bodies:
         txs = blocks[rec.height].transactions
         positions = kept_by_height[rec.height] if rec.kind == KIND_MINIMIZED else range(len(txs))
         for i in positions:
             tx = txs[i]
-            for txin in tx.inputs:
-                counts[txin.script] += 1
+            extend([txin.script for txin in tx.inputs])
             for stack in tx.witnesses:
-                for item in stack.items:
-                    counts[item] += 1
-            for txout in tx.outputs:
-                counts[txout.script] += 1
-    return counts
+                extend(stack.items)
+            extend([txout.script for txout in tx.outputs])
+    return Counter(scripts)
 
 
 def build_store_model(
@@ -354,17 +394,20 @@ def build_store_model(
     kvs: dict = {}
     if config.dedup:
         plan = dedup_scripts(_script_sites(blocks, bodies, kept_by_height))
-        if plan.rewrite:
-            codec = RefScriptCodec(plan.rewrite, plan.kvs)
+        # the codec keeps each rewritten script with its reference, so the
+        # plan, and its own set of them, is freed before the second pass
+        codec = RefScriptCodec(plan.rewrite, plan.kvs) if plan.rewrite else None
+        del plan
+        if codec is not None:
             bodies_dedup, stats_dedup = _encode_bodies(
                 blocks, state, config, keep_from, kept_by_height, codec
             )
-            with_dedup = len(_bodies_file(bodies_dedup)) + len(_kvs_file(plan.kvs))
+            with_dedup = len(_bodies_file(bodies_dedup)) + len(_kvs_file(codec.kvs))
             if with_dedup < len(_bodies_file(bodies)):
                 dedup_effective = True
                 bodies = bodies_dedup
                 stats = stats_dedup
-                kvs = plan.kvs
+                kvs = codec.kvs
 
     with_body = {rec.height for rec in bodies}
     spine = []
@@ -632,7 +675,7 @@ def decode_store_content(view: StoreView) -> StoreContent:
             txs = []
             wire_txs = []
             for i in range(n_tx.value):
-                tx, consumed = slack_decode_tx(rec.payload, resolve, offset, codec)
+                tx, consumed = slack_restore_tx(rec.payload, resolve, offset, codec)
                 offset += consumed
                 wire_txs.append(restore(rec.height, i, tx))
                 txs.append(tx)
@@ -661,7 +704,7 @@ def decode_store_content(view: StoreView) -> StoreContent:
             kept = []
             for pos, stored in stored_mb.kept:
                 if tx_mode == 1:
-                    tx, consumed = slack_decode_tx(stored, resolve, 0, codec)
+                    tx, consumed = slack_restore_tx(stored, resolve, 0, codec)
                 else:
                     tx, consumed = decode_transaction(stored, 0, codec)
                 if consumed != len(stored):

@@ -26,13 +26,23 @@ from dataclasses import dataclass, field, fields
 from .analytics import LifespanCdf, percentile, script_multisets
 from .errors import DecodeError, QuantileUnreachableError, StrategyError, TruncationError
 from .wire import (
+    _ONE_BYTE,
+    _PREVOUT,
+    _U16,
+    _U32,
+    _U64,
     IDENTITY_CODEC,
+    MAX_MONEY,
     Block,
     OutPoint,
     Transaction,
     TxIn,
     TxOut,
     VarInt,
+    _truncated,
+    _tuple_new,
+    _varint_bytes,
+    _wide_varint,
     decode_transaction,
     decode_varint,
     decode_witness_stacks,
@@ -40,13 +50,10 @@ from .wire import (
     encode_block,
     encode_transaction,
     encode_varint,
-    encode_witness_stacks,
+    encode_with_witness_at,
     merkle_levels,
     txid,
 )
-
-_U16 = struct.Struct("<H")
-_U32 = struct.Struct("<I")
 
 SEQUENCE_DEFAULT = 0xFFFFFFFF
 COMMON_VERSIONS = (1, 2)
@@ -297,6 +304,8 @@ def verify_leaf_in_minimized(mb: MinimizedBlock, position: int, leaf: bytes) -> 
 _TOKEN_INLINE = 0
 _TOKEN_REF_WIDTHS = {1: 0, 2: 3, 3: 5, 4: 9}  # token -> stored varint width (0 = canonical)
 _WIDTH_TOKENS = {0: 1, 1: 1, 3: 2, 5: 3, 9: 4}
+_WIDTH_TAGS = {width: bytes((token,)) for width, token in _WIDTH_TOKENS.items()}
+_INLINE_ONE_BYTE = [bytes((_TOKEN_INLINE, n)) for n in range(0xFD)]
 
 
 def script_ref(script: bytes) -> bytes:
@@ -308,17 +317,21 @@ class RefScriptCodec:
     scripts become a tag + 8-byte hash reference.
 
     The tag also records the original length-varint width so decoding
-    reproduces non-canonical encodings bit-exactly.
+    reproduces non-canonical encodings bit-exactly.  Each rewritten
+    script's reference is hashed once, when the codec is built.
     """
 
     def __init__(self, rewrite: set, kvs: dict):
-        self.rewrite = rewrite
         self.kvs = kvs
+        self._refs = {script: script_ref(script) for script in rewrite}
 
     def encode(self, script: bytes, width: int) -> bytes:
-        if script in self.rewrite:
-            token = _WIDTH_TOKENS[width]
-            return bytes([token]) + script_ref(script)
+        ref = self._refs.get(script)
+        if ref is not None:
+            return _WIDTH_TAGS[width] + ref
+        n = len(script)
+        if n < 0xFD and width <= 1:  # one-byte length: no VarInt object needed
+            return _INLINE_ONE_BYTE[n] + script
         return b"\x00" + IDENTITY_CODEC.encode(script, width)
 
     def decode(self, data: bytes, offset: int) -> tuple[bytes, int, int]:
@@ -370,9 +383,13 @@ class SlackStats:
     bytes_in: int = 0
     bytes_out: int = 0
 
-    def add(self, other: SlackStats) -> None:
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+    def count(self, tally) -> None:
+        """Add a tally: one number per field, in field order."""
+        for name, n in zip(_STAT_NAMES, tally):
+            setattr(self, name, getattr(self, name) + n)
+
+
+_STAT_NAMES = tuple(f.name for f in fields(SlackStats))
 
 
 def _as_locate(locator):
@@ -394,6 +411,140 @@ def _as_resolve(resolver):
     return lambda h, i: resolver.get((h, i))
 
 
+# The codec below runs once per stored tx in every strategy model and
+# once per compact tx on every read, so, like the wire decoders, it
+# writes and reads one-byte varints and fixed fields inline, and it
+# copies the stored form's witness section as one slice.  Its records,
+# SlackStats and errors must be the ones the field-by-field codec gives:
+# tests/test_slack_reference.py compares the two over seeded corpora,
+# truncations and byte flips, and tests/test_slack_restore.py checks the
+# wire bytes the reader rebuilds.
+
+_TAG_PASSTHROUGH_BYTE = bytes((_TAG_PASSTHROUGH,))
+_TAG_COMPACT_BYTE = bytes((_TAG_COMPACT,))
+_COINBASE_HASH = bytes(32)
+_COINBASE_PREVOUT = OutPoint(_COINBASE_HASH, 0xFFFFFFFF)
+_COINBASE_PREVOUT_BYTES = _COINBASE_HASH + _U32.pack(0xFFFFFFFF)
+_SEQUENCE_DEFAULT_BYTES = _U32.pack(SEQUENCE_DEFAULT)
+_MARKER = b"\x00\x01"  # segwit marker and flag
+_LOCAL = struct.Struct("<IH")
+_LOCAL_ONE_BYTE = struct.Struct("<IHB")  # local prevout with a one-byte output index
+_VARINT_3 = struct.Struct("<BH")
+_VARINT_5 = struct.Struct("<BI")
+_VARINT_9 = struct.Struct("<BQ")
+
+
+def _short(count: int, offset: int, what: str) -> TruncationError:
+    return TruncationError(f"need {count} byte(s)", offset=offset, field=what)
+
+
+def slack_record(tx: Transaction, stored: bytes, witness_at: int, locate, codec=IDENTITY_CODEC) -> tuple[bytes, tuple]:
+    """The :func:`slack_encode` record of ``tx`` and its tally.
+
+    ``stored, witness_at`` must be ``encode_with_witness_at(tx, codec)``:
+    the passthrough form, whose witness section the compact form copies.
+    A caller that needs the stored form for other records too passes the
+    same bytes.  ``locate`` maps a prevout txid to a (height, tx_index)
+    position or None.  The tally holds what the record adds to a
+    :class:`SlackStats`, one number per field in field order.
+    """
+    identity = codec is IDENTITY_CODEC
+    bytes_in = len(stored) if identity else len(encode_transaction(tx))
+    inputs = tx.inputs
+    n_in = len(inputs)
+    outputs = tx.outputs
+    version = tx.version
+    lock_time = tx.lock_time
+    version_common = version in COMMON_VERSIONS
+    parts = [
+        _TAG_COMPACT_BYTE,
+        _varint_bytes(n_in, tx.input_count_width),
+        _varint_bytes(len(outputs), tx.output_count_width),
+        None,  # the bitmap, once the inputs have set their bits
+    ]
+    if not version_common:
+        parts.append(_U32.pack(version))
+    if lock_time:
+        parts.append(_U32.pack(lock_time))
+    append = parts.append
+
+    # bit j of the bitmap is bit j of this integer, written little-endian
+    bits = (
+        version_common
+        | (version == COMMON_VERSIONS[1]) << 1
+        | tx.has_witness_flag << 2
+        | (lock_time != 0) << 3
+    )
+    shift = 4
+    n_local = n_coinbase = n_verbatim = n_bigindex = n_seqesc = 0
+    for txin in inputs:
+        tx_hash, index = txin.previous_output
+        if index == 0xFFFFFFFF and tx_hash == _COINBASE_HASH:
+            kind = _PREVOUT_COINBASE
+            n_coinbase += 1
+        else:
+            pos = locate(tx_hash)
+            if pos is not None and pos[1] > 0xFFFF:
+                n_bigindex += 1
+                pos = None
+            if pos is None:
+                kind = _PREVOUT_VERBATIM
+                append(tx_hash + _U32.pack(index))
+                n_verbatim += 1
+            else:
+                kind = _PREVOUT_LOCAL
+                if index < 0xFD:
+                    append(_LOCAL_ONE_BYTE.pack(pos[0], pos[1], index))
+                else:
+                    append(_LOCAL.pack(pos[0], pos[1]) + encode_varint(index))
+                n_local += 1
+        script = txin.script
+        if identity:
+            n = len(script)
+            width = txin.script_len_width
+            append(_ONE_BYTE[n] if n < 0xFD and width <= 1 else encode_varint(VarInt(n, width)))
+            append(script)
+        else:
+            append(codec.encode(script, txin.script_len_width))
+        if txin.sequence != SEQUENCE_DEFAULT:
+            kind |= 4
+            append(_U32.pack(txin.sequence))
+            n_seqesc += 1
+        bits |= kind << shift
+        shift += 3
+    parts[3] = bits.to_bytes((4 + 3 * n_in + 7) // 8, "little")
+
+    for txout in outputs:
+        value = txout.value
+        if value < 0xFD:
+            append(_ONE_BYTE[value])
+        elif value <= 0xFFFF:
+            append(_VARINT_3.pack(0xFD, value))
+        elif value <= 0xFFFFFFFF:
+            append(_VARINT_5.pack(0xFE, value))
+        else:
+            append(_VARINT_9.pack(0xFF, value))
+        script = txout.script
+        if identity:
+            n = len(script)
+            width = txout.script_len_width
+            append(_ONE_BYTE[n] if n < 0xFD and width <= 1 else encode_varint(VarInt(n, width)))
+            append(script)
+        else:
+            append(codec.encode(script, txout.script_len_width))
+    if tx.has_witness_flag:
+        append(stored[witness_at:-4])  # both forms write the witness section alike
+
+    record = b"".join(parts)
+    if len(record) <= len(stored):  # the compact form without its tag is shorter
+        tally = (
+            1, 0, 1, int(not version_common), int(lock_time != 0), n_seqesc,
+            n_coinbase, n_local, n_verbatim, n_bigindex, bytes_in, len(record),
+        )  # fmt: skip
+        return record, tally
+    return _TAG_PASSTHROUGH_BYTE + stored, (1, 1, 0, 0, 0, 0, 0, 0, 0, 0, bytes_in, 1 + len(stored))
+
+
 def slack_encode(tx: Transaction, locator=None, stats: SlackStats | None = None, codec=IDENTITY_CODEC) -> bytes:
     """Compact, lossless re-encoding of one transaction.
 
@@ -403,92 +554,15 @@ def slack_encode(tx: Transaction, locator=None, stats: SlackStats | None = None,
     non-coinbase prevout is stored verbatim.
     """
     locate = _as_locate(locator)
-    plain = encode_transaction(tx, codec)
-
-    n_in = len(tx.inputs)
-    version_common = tx.version in COMMON_VERSIONS
-    # bit j of the bitmap is bit j of this integer, written little-endian
-    bits = (
-        version_common
-        | (version_common and tx.version == COMMON_VERSIONS[1]) << 1
-        | tx.has_witness_flag << 2
-        | (tx.lock_time != 0) << 3
-    )
-
-    input_parts = []
-    n_local = n_coinbase = n_verbatim = n_bigindex = n_seqesc = 0
-    for i, txin in enumerate(tx.inputs):
-        base = 4 + 3 * i
-        prevout = txin.previous_output
-        part = b""
-        if prevout.is_coinbase():
-            kind = _PREVOUT_COINBASE
-            n_coinbase += 1
-        else:
-            pos = locate(prevout.tx_hash)
-            if pos is not None and pos[1] > 0xFFFF:
-                n_bigindex += 1
-                pos = None
-            if pos is not None:
-                kind = _PREVOUT_LOCAL
-                part = _U32.pack(pos[0]) + _U16.pack(pos[1]) + encode_varint(prevout.index)
-                n_local += 1
-            else:
-                kind = _PREVOUT_VERBATIM
-                part = prevout.tx_hash + _U32.pack(prevout.index)
-                n_verbatim += 1
-        seq_escape = txin.sequence != SEQUENCE_DEFAULT
-        bits |= (kind | seq_escape << 2) << base
-        if seq_escape:
-            n_seqesc += 1
-        part += codec.encode(txin.script, txin.script_len_width)
-        if seq_escape:
-            part += _U32.pack(txin.sequence)
-        input_parts.append(part)
-
-    parts = [
-        encode_varint(VarInt(n_in, tx.input_count_width)),
-        encode_varint(VarInt(len(tx.outputs), tx.output_count_width)),
-        bits.to_bytes((4 + 3 * n_in + 7) // 8, "little"),
-    ]
-    if not version_common:
-        parts.append(_U32.pack(tx.version))
-    if tx.lock_time != 0:
-        parts.append(_U32.pack(tx.lock_time))
-    parts.extend(input_parts)
-    for txout in tx.outputs:
-        parts.append(encode_varint(txout.value))
-        parts.append(codec.encode(txout.script, txout.script_len_width))
-    if tx.has_witness_flag:
-        encode_witness_stacks(tx.witnesses, parts, codec)
-    compact = b"".join(parts)
-
+    record, tally = slack_record(tx, *encode_with_witness_at(tx, codec), locate, codec)
     if stats is not None:
-        stats.txs += 1
-        stats.bytes_in += len(plain) if codec is IDENTITY_CODEC else len(encode_transaction(tx))
-    if len(compact) < len(plain):
-        if stats is not None:
-            stats.compact += 1
-            stats.bytes_out += 1 + len(compact)
-            if not version_common:
-                stats.version_escapes += 1
-            if tx.lock_time != 0:
-                stats.locktime_escapes += 1
-            stats.sequence_escapes += n_seqesc
-            stats.prevout_local += n_local
-            stats.prevout_coinbase += n_coinbase
-            stats.prevout_verbatim += n_verbatim
-            stats.prevout_bigindex_fallback += n_bigindex
-        return bytes([_TAG_COMPACT]) + compact
-    if stats is not None:
-        stats.passthrough += 1
-        stats.bytes_out += 1 + len(plain)
-    return bytes([_TAG_PASSTHROUGH]) + plain
+        stats.count(tally)
+    return record
 
 
 def slack_decode(data: bytes, resolver=None, offset: int = 0, codec=IDENTITY_CODEC) -> tuple[bytes, int]:
     """Inverse of :func:`slack_encode`: (original transaction bytes, bytes consumed)."""
-    tx, used = slack_decode_tx(data, resolver, offset, codec)
+    tx, used = slack_restore_tx(data, resolver, offset, codec)
     return encode_transaction(tx), used
 
 
@@ -497,10 +571,32 @@ def slack_decode_tx(data: bytes, resolver=None, offset: int = 0, codec=IDENTITY_
 
     ``resolver`` maps (height, tx_index) back to a txid; an unresolvable
     position means the record is unreadable (store corruption or a
-    locator that does not cover the reference).
+    locator that does not cover the reference).  A compact record's
+    transaction has no source bytes: it is encoded from its fields.
     """
+    return _slack_decode(data, resolver, offset, codec, False)
+
+
+def slack_restore_tx(data: bytes, resolver=None, offset: int = 0, codec=IDENTITY_CODEC) -> tuple[Transaction, int]:
+    """:func:`slack_decode_tx` for a reader that needs the wire bytes too.
+
+    Through the identity codec a compact record's transaction keeps the
+    wire bytes rebuilt while decoding as its ``source``, as
+    :func:`decode_transaction` keeps the bytes it read, so encoding it
+    and its txid slice them.  A transaction whose fields cannot be
+    encoded (no inputs or outputs, a prevout index or an output value out
+    of range) keeps none, so encoding it raises as for a built one.
+    """
+    return _slack_decode(data, resolver, offset, codec, True)
+
+
+def _slack_decode(data, resolver, offset: int, codec, keep_source: bool) -> tuple[Transaction, int]:
+    """The decoder of both: ``keep_source`` keeps the rebuilt wire bytes."""
+    if type(data) is not bytes:
+        data = bytes(data)
+    end = len(data)
     start = offset
-    if offset >= len(data):
+    if offset >= end:
         raise TruncationError("empty compact record", offset=offset, field="slack tag")
     tag = data[offset]
     offset += 1
@@ -510,50 +606,62 @@ def slack_decode_tx(data: bytes, resolver=None, offset: int = 0, codec=IDENTITY_
     if tag != _TAG_COMPACT:
         raise DecodeError(f"unknown compact tag 0x{tag:02x}", offset=start, field="slack tag")
     resolve = _as_resolve(resolver) if resolver is not None else None
+    identity = codec is IDENTITY_CODEC
 
-    def need(count, what):
-        if offset + count > len(data):
-            raise TruncationError(f"need {count} byte(s)", offset=offset, field=what)
-
-    n_in_v, used = decode_varint(data, offset)
-    offset += used
-    n_out_v, used = decode_varint(data, offset)
-    offset += used
-    n_in = n_in_v.value
+    counts_at = offset
+    if offset < end and (n_in := data[offset]) < 0xFD:
+        n_in_width = 1
+    else:
+        n_in, n_in_width = _wide_varint(data, offset)
+    offset += n_in_width
+    if offset < end and (n_out := data[offset]) < 0xFD:
+        n_out_width = 1
+    else:
+        n_out, n_out_width = _wide_varint(data, offset)
+    offset += n_out_width
     bitmap_len = (4 + 3 * n_in + 7) // 8
-    need(bitmap_len, "slack bitmap")
-    bitmap = data[offset : offset + bitmap_len]
+    if offset + bitmap_len > end:
+        raise _short(bitmap_len, offset, "slack bitmap")
+    bits = int.from_bytes(data[offset : offset + bitmap_len], "little")
     offset += bitmap_len
 
-    def bit(j):
-        return (bitmap[j >> 3] >> (j & 7)) & 1
-
-    if bit(0):
-        version = COMMON_VERSIONS[1] if bit(1) else COMMON_VERSIONS[0]
+    if bits & 1:
+        version = COMMON_VERSIONS[1] if bits & 2 else COMMON_VERSIONS[0]
     else:
-        need(4, "version escape")
+        if offset + 4 > end:
+            raise _short(4, offset, "version escape")
         version = _U32.unpack_from(data, offset)[0]
         offset += 4
-    has_witness = bool(bit(2))
+    has_witness = bool(bits & 4)
     lock_time = 0
-    if bit(3):
-        need(4, "lock time escape")
+    if bits & 8:
+        if offset + 4 > end:
+            raise _short(4, offset, "lock time escape")
         lock_time = _U32.unpack_from(data, offset)[0]
         offset += 4
+    bits >>= 4
 
+    # the wire bytes, rebuilt field by field; they are the tx's source
+    # only when its script fields went through the identity codec
+    wire = [_U32.pack(version), _MARKER if has_witness else b"", data[counts_at : counts_at + n_in_width]]
+    append = wire.append
+    encodable = n_in > 0 and n_out > 0
     inputs = []
     for i in range(n_in):
-        base = 4 + 3 * i
-        kind = bit(base) | (bit(base + 1) << 1)
+        kind = bits & 3
         if kind == _PREVOUT_COINBASE:
-            prevout = OutPoint(bytes(32), 0xFFFFFFFF)
+            prevout = _COINBASE_PREVOUT
+            append(_COINBASE_PREVOUT_BYTES)
         elif kind == _PREVOUT_LOCAL:
-            need(6, "local prevout")
-            height = _U32.unpack_from(data, offset)[0]
-            tx_index = _U16.unpack_from(data, offset + 4)[0]
+            if offset + 6 > end:
+                raise _short(6, offset, "local prevout")
+            height, tx_index = _LOCAL.unpack_from(data, offset)
             offset += 6
-            out_index, used = decode_varint(data, offset)
-            offset += used
+            if offset < end and (out_index := data[offset]) < 0xFD:
+                offset += 1
+            else:
+                out_index, used = _wide_varint(data, offset)
+                offset += used
             if resolve is None:
                 raise DecodeError(
                     f"input {i} references ({height},{tx_index}) but no resolver was given"
@@ -564,46 +672,93 @@ def slack_decode_tx(data: bytes, resolver=None, offset: int = 0, codec=IDENTITY_
                     f"input {i} references unknown position ({height},{tx_index})",
                     field="local prevout",
                 )
-            prevout = OutPoint(tx_hash, out_index.value)
+            prevout = _tuple_new(OutPoint, (tx_hash, out_index))
+            append(tx_hash)
+            if out_index > 0xFFFFFFFF:
+                encodable = False
+            else:
+                append(_U32.pack(out_index))
         elif kind == _PREVOUT_VERBATIM:
-            need(36, "verbatim prevout")
-            prevout = OutPoint(
-                bytes(data[offset : offset + 32]), _U32.unpack_from(data, offset + 32)[0]
-            )
+            if offset + 36 > end:
+                raise _short(36, offset, "verbatim prevout")
+            prevout = _tuple_new(OutPoint, _PREVOUT.unpack_from(data, offset))
+            append(data[offset : offset + 36])
             offset += 36
         else:
             raise DecodeError(f"invalid prevout kind {kind} for input {i}", field="slack bitmap")
-        script, width, consumed = codec.decode(data, offset)
-        offset += consumed
-        sequence = SEQUENCE_DEFAULT
-        if bit(base + 2):
-            need(4, "sequence escape")
+        field_at = offset
+        if identity:
+            if offset < end and (n := data[offset]) < 0xFD:
+                width = 1
+            else:
+                n, width = _wide_varint(data, offset)
+            offset += width
+            if offset + n > end:
+                raise _truncated(data, offset, n, "script")
+            script = data[offset : offset + n]
+            offset += n
+        else:
+            script, width, used = codec.decode(data, offset)
+            offset += used
+        if bits & 4:
+            if offset + 4 > end:
+                raise _short(4, offset, "sequence escape")
             sequence = _U32.unpack_from(data, offset)[0]
             offset += 4
-        inputs.append(TxIn(prevout, script, sequence, script_len_width=width))
+            append(data[field_at:offset])  # the script field and the escaped sequence
+        else:
+            sequence = SEQUENCE_DEFAULT
+            append(data[field_at:offset])
+            append(_SEQUENCE_DEFAULT_BYTES)
+        bits >>= 3
+        inputs.append(TxIn(prevout, script, sequence, width))
 
+    append(data[counts_at + n_in_width : counts_at + n_in_width + n_out_width])
     outputs = []
-    for _ in range(n_out_v.value):
-        value, used = decode_varint(data, offset)
-        offset += used
-        script, width, consumed = codec.decode(data, offset)
-        offset += consumed
-        outputs.append(TxOut(value.value, script, script_len_width=width))
+    for _ in range(n_out):
+        if offset < end and (value := data[offset]) < 0xFD:
+            offset += 1
+        elif offset + 3 <= end and data[offset] == 0xFD:
+            value = _U16.unpack_from(data, offset + 1)[0]
+            offset += 3
+        else:
+            value, used = _wide_varint(data, offset)
+            offset += used
+        if value > MAX_MONEY:
+            encodable = False
+        field_at = offset
+        if identity:
+            if offset < end and (n := data[offset]) < 0xFD:
+                width = 1
+            else:
+                n, width = _wide_varint(data, offset)
+            offset += width
+            if offset + n > end:
+                raise _truncated(data, offset, n, "script")
+            script = data[offset : offset + n]
+            offset += n
+        else:
+            script, width, used = codec.decode(data, offset)
+            offset += used
+        append(_U64.pack(value))
+        append(data[field_at:offset])
+        outputs.append(TxOut(value, script, width))
 
     witnesses = []
+    witness_at = 0
     if has_witness:
+        witness_at = sum(map(len, wire))
+        field_at = offset
         witnesses, offset = decode_witness_stacks(data, offset, n_in, codec)
+        append(data[field_at:offset])
 
     tx = Transaction(
-        version,
-        inputs,
-        outputs,
-        lock_time,
-        has_witness_flag=has_witness,
-        witnesses=witnesses,
-        input_count_width=n_in_v.width,
-        output_count_width=n_out_v.width,
+        version, inputs, outputs, lock_time, has_witness, witnesses, n_in_width, n_out_width
     )
+    if keep_source and identity and encodable:
+        append(_U32.pack(lock_time))
+        tx.source = b"".join(wire)
+        tx.witness_at = witness_at
     return tx, offset - start
 
 

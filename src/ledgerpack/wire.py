@@ -120,8 +120,16 @@ def decode_varint(data: bytes, offset: int = 0) -> tuple[VarInt, int]:
 _ONE_BYTE = [bytes((i,)) for i in range(0xFD)]
 
 
+def _varint_bytes(value: int, width: int) -> bytes:
+    """``encode_varint(VarInt(value, width))`` of a count, with no VarInt
+    built when it takes one byte."""
+    return _ONE_BYTE[value] if value < 0xFD and width <= 1 else encode_varint(VarInt(value, width))
+
+
 def encode_varint(v: VarInt | int) -> bytes:
     """Exact inverse of :func:`decode_varint`, including non-canonical widths."""
+    if type(v) is int and 0 <= v <= 0xFFFF:  # canonical widths 1 and 3 without a width lookup
+        return _ONE_BYTE[v] if v < 0xFD else b"\xfd" + _U16.pack(v)
     if isinstance(v, int):
         value, width = v, varint_width(v)
     else:
@@ -199,7 +207,8 @@ class Transaction:
     input_count_width: int = 0
     output_count_width: int = 0
     # Set only by decoding through the identity codec: the wire bytes the
-    # tx was read from, and the offset of its witness within them (0 when
+    # tx was read from (or, by strategies.slack_restore_tx, rebuilt from a
+    # compact record), and the offset of its witness within them (0 when
     # it has none).  Built txs and dataclasses.replace copies have none.
     source: bytes | None = field(default=None, init=False, repr=False, compare=False)
     witness_at: int = field(default=0, init=False, repr=False, compare=False)
@@ -240,10 +249,18 @@ IDENTITY_CODEC = IdentityScriptCodec()
 
 def encode_witness_stacks(stacks: list, parts: list, codec) -> None:
     """Append each input's witness item count and items to ``parts``."""
+    append = parts.append
+    encode = codec.encode
     for stack in stacks:
-        parts.append(encode_varint(VarInt(len(stack.items), stack.count_width)))
-        for i, item in enumerate(stack.items):
-            parts.append(codec.encode(item, stack._width_for(i)))
+        items = stack.items
+        append(_varint_bytes(len(items), stack.count_width))
+        widths = stack.item_widths
+        if widths:
+            for i, item in enumerate(items):
+                append(encode(item, widths[i]))
+        else:
+            for item in items:
+                append(encode(item, 0))
 
 
 # The decoders below are the hot loop of every command, so they read
@@ -436,16 +453,19 @@ def _check_tx_invariants(tx: Transaction) -> None:
 
 
 def _encode_tx_body(tx: Transaction, parts: list[bytes], codec) -> None:
-    parts.append(encode_varint(VarInt(len(tx.inputs), tx.input_count_width)))
+    append = parts.append
+    encode = codec.encode
+    append(_varint_bytes(len(tx.inputs), tx.input_count_width))
     for txin in tx.inputs:
-        parts.append(txin.previous_output.tx_hash)
-        parts.append(_U32.pack(txin.previous_output.index))
-        parts.append(codec.encode(txin.script, txin.script_len_width))
-        parts.append(_U32.pack(txin.sequence))
-    parts.append(encode_varint(VarInt(len(tx.outputs), tx.output_count_width)))
+        tx_hash, index = txin.previous_output
+        append(tx_hash)
+        append(_U32.pack(index))
+        append(encode(txin.script, txin.script_len_width))
+        append(_U32.pack(txin.sequence))
+    append(_varint_bytes(len(tx.outputs), tx.output_count_width))
     for txout in tx.outputs:
-        parts.append(_U64.pack(txout.value))
-        parts.append(codec.encode(txout.script, txout.script_len_width))
+        append(_U64.pack(txout.value))
+        append(encode(txout.script, txout.script_len_width))
 
 
 def _serialize(tx: Transaction, codec) -> tuple[bytes, int]:
@@ -495,6 +515,14 @@ def encode_transaction_legacy(tx: Transaction) -> bytes:
 def txid(tx: Transaction) -> bytes:
     """Transaction id: double SHA-256 of the witness-stripped serialization."""
     return dsha256(encode_transaction_legacy(tx))
+
+
+def encode_with_witness_at(tx: Transaction, codec=IDENTITY_CODEC) -> tuple[bytes, int]:
+    """:func:`encode_transaction` and the offset of the witness section in
+    its bytes (0 when it has none)."""
+    if tx.source is not None and codec is IDENTITY_CODEC:
+        return tx.source, tx.witness_at
+    return _serialize(tx, codec)
 
 
 def encode_with_txid(tx: Transaction) -> tuple[bytes, bytes]:
@@ -615,7 +643,7 @@ def encode_block(block: Block, codec=IDENTITY_CODEC) -> bytes:
 
 def join_block(block: Block, tx_bytes: list) -> bytes:
     """A block's bytes from its header and its already serialized transactions."""
-    count = encode_varint(VarInt(len(tx_bytes), block.tx_count_width))
+    count = _varint_bytes(len(tx_bytes), block.tx_count_width)
     return b"".join([block.header.encode(), count, *tx_bytes])
 
 
