@@ -165,6 +165,14 @@ def _add_tx(tx: Transaction, totals: dict) -> None:
         totals["witness"] += w
 
 
+def _add_block(block: Block, comp: CompositionBreakdown) -> None:
+    comp.n_blocks += 1
+    comp.n_txs += len(block.transactions)
+    comp.totals["block_header"] += 80 + _varint_len(len(block.transactions), block.tx_count_width)
+    for tx in block.transactions:
+        _add_tx(tx, comp.totals)
+
+
 def composition_for_block(block: Block) -> CompositionBreakdown:
     """Exact bucket partition of one block's serialized bytes.
 
@@ -173,13 +181,7 @@ def composition_for_block(block: Block) -> CompositionBreakdown:
     tx-count varint counts as block header.
     """
     comp = CompositionBreakdown()
-    comp.n_blocks = 1
-    comp.n_txs = len(block.transactions)
-    comp.totals["block_header"] += 80 + _varint_len(
-        len(block.transactions), block.tx_count_width
-    )
-    for tx in block.transactions:
-        _add_tx(tx, comp.totals)
+    _add_block(block, comp)
     return comp
 
 
@@ -193,11 +195,7 @@ def composition_breakdown(
     pre = CompositionBreakdown()
     post = CompositionBreakdown()
     for i, block in enumerate(blocks):
-        side = pre if start_height + i < segwit_boundary else post
-        one = composition_for_block(block)
-        side.totals = {b: side.totals[b] + one.totals[b] for b in COMPOSITION_BUCKETS}
-        side.n_blocks += 1
-        side.n_txs += one.n_txs
+        _add_block(block, pre if start_height + i < segwit_boundary else post)
     return pre, post
 
 

@@ -431,10 +431,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         try:
             return args.func(args)
-        except LedgerError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        except OSError as exc:
+        except (LedgerError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
     finally:

@@ -125,9 +125,10 @@ def _draw_lifespan(plan: ChainPlan, rng: random.Random) -> int:
     return 1 + int(math.log(rng.random()) / math.log(1.0 - plan.spend_p))
 
 
-def _maybe_wide(value: int, plan: ChainPlan, rng: random.Random) -> int:
-    """Varint width to store ``value`` with: usually canonical (0)."""
-    if plan.noncanonical_rate and rng.random() < plan.noncanonical_rate:
+def _maybe_wide(value: int, rate: float, rng: random.Random) -> int:
+    """Varint width to store ``value`` with: wider than canonical with
+    probability ``rate``, else canonical (0)."""
+    if rate and rng.random() < rate:
         w = varint_width(value)
         if w < 9:
             return {1: 3, 3: 5, 5: 9}[w]
@@ -199,6 +200,7 @@ def gen_chain(plan: ChainPlan) -> tuple[bytes, GroundTruth]:
     # spend_height -> list of (outpoint, creation_height); overflow carries forward
     schedule: dict[int, list] = defaultdict(list)
     dormant: list = []
+    rate = plan.noncanonical_rate  # of varints stored wider than canonical
 
     def register_outputs(t: bytes, n_outputs: int, height: int) -> None:
         for j in range(n_outputs):
@@ -226,7 +228,7 @@ def gen_chain(plan: ChainPlan) -> tuple[bytes, GroundTruth]:
         for _ in inputs:
             items = [_script(plan, rng, wit_pool) for _ in range(rng.randint(1, 2))]
             stacks.append(
-                WitnessStack(items, item_widths=[_maybe_wide(len(i), plan, rng) for i in items])
+                WitnessStack(items, item_widths=[_maybe_wide(len(i), rate, rng) for i in items])
             )
         return stacks
 
@@ -240,7 +242,7 @@ def gen_chain(plan: ChainPlan) -> tuple[bytes, GroundTruth]:
         cb_outputs = []
         for _ in range(rng.randint(*plan.outs_per_tx)):
             s = _script(plan, rng, out_pool)
-            cb_outputs.append(TxOut(50 * COIN, s, script_len_width=_maybe_wide(len(s), plan, rng)))
+            cb_outputs.append(TxOut(50 * COIN, s, script_len_width=_maybe_wide(len(s), rate, rng)))
         cb = Transaction(1, cb_inputs, cb_outputs, 0)
         txs.append(cb)
 
@@ -254,11 +256,11 @@ def gen_chain(plan: ChainPlan) -> tuple[bytes, GroundTruth]:
                 if rng.random() < plan.nondefault_sequence_rate:
                     seq = rng.randrange(0, 0xFFFFFFFF)
                 s = _script(plan, rng, in_pool)
-                inputs.append(TxIn(op, s, seq, script_len_width=_maybe_wide(len(s), plan, rng)))
+                inputs.append(TxIn(op, s, seq, script_len_width=_maybe_wide(len(s), rate, rng)))
             outputs = []
             for _ in range(rng.randint(*plan.outs_per_tx)):
                 s = _script(plan, rng, out_pool)
-                outputs.append(TxOut(_value(plan, rng), s, script_len_width=_maybe_wide(len(s), plan, rng)))
+                outputs.append(TxOut(_value(plan, rng), s, script_len_width=_maybe_wide(len(s), rate, rng)))
             stacks = witness_for(inputs, height)
             lock_time = 0
             if rng.random() < plan.nonzero_locktime_rate:
@@ -270,8 +272,8 @@ def gen_chain(plan: ChainPlan) -> tuple[bytes, GroundTruth]:
                 lock_time,
                 has_witness_flag=bool(stacks),
                 witnesses=stacks,
-                input_count_width=_maybe_wide(len(inputs), plan, rng),
-                output_count_width=_maybe_wide(len(outputs), plan, rng),
+                input_count_width=_maybe_wide(len(inputs), rate, rng),
+                output_count_width=_maybe_wide(len(outputs), rate, rng),
             )
             txs.append(tx)
             for _op, created in take:
@@ -300,7 +302,7 @@ def gen_chain(plan: ChainPlan) -> tuple[bytes, GroundTruth]:
                 rng.randrange(1 << 32),
             ),
             txs,
-            tx_count_width=_maybe_wide(len(txs), plan, rng),
+            tx_count_width=_maybe_wide(len(txs), rate, rng),
         )
         account_block_header(block, gt.composition)
         raw = join_block(block, wire_txs)
@@ -389,7 +391,7 @@ def gen_tx_corpus(seed: int, n: int) -> TxCorpus:
                         OutPoint(prev_hash, prev_index),
                         script,
                         seq,
-                        script_len_width=_wide_sometimes(slen, rng),
+                        script_len_width=_maybe_wide(slen, 0.06, rng),
                     )
                 )
             witness = rng.random() < 0.4
@@ -402,7 +404,7 @@ def gen_tx_corpus(seed: int, n: int) -> TxCorpus:
                 value = rng.randrange(0, 1 << 24)
             slen = rng.choice([0, 22, 23, 25, 34, 67, 253, 300])
             outputs.append(
-                TxOut(value, rng.randbytes(slen), script_len_width=_wide_sometimes(slen, rng))
+                TxOut(value, rng.randbytes(slen), script_len_width=_maybe_wide(slen, 0.06, rng))
             )
 
         stacks = []
@@ -410,7 +412,7 @@ def gen_tx_corpus(seed: int, n: int) -> TxCorpus:
             for _ in inputs:
                 items = [rng.randbytes(rng.choice([0, 1, 33, 72, 253])) for _ in range(rng.randint(0, 3))]
                 stacks.append(
-                    WitnessStack(items, item_widths=[_wide_sometimes(len(x), rng) for x in items])
+                    WitnessStack(items, item_widths=[_maybe_wide(len(x), 0.06, rng) for x in items])
                 )
 
         version = rng.choice([1, 1, 2, 2, 3, 0, 0x7FFFFFFF])
@@ -422,8 +424,8 @@ def gen_tx_corpus(seed: int, n: int) -> TxCorpus:
             lock_time,
             has_witness_flag=witness,
             witnesses=stacks,
-            input_count_width=_wide_sometimes(len(inputs), rng),
-            output_count_width=_wide_sometimes(len(outputs), rng),
+            input_count_width=_maybe_wide(len(inputs), 0.06, rng),
+            output_count_width=_maybe_wide(len(outputs), 0.06, rng),
         )
         txs.append(tx)
         if rng.random() < 0.5:
@@ -431,10 +433,3 @@ def gen_tx_corpus(seed: int, n: int) -> TxCorpus:
 
     return TxCorpus(txs, locator, by_position)
 
-
-def _wide_sometimes(value: int, rng: random.Random) -> int:
-    if rng.random() < 0.06:
-        w = varint_width(value)
-        if w < 9:
-            return {1: 3, 3: 5, 5: 9}[w]
-    return 0

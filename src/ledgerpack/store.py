@@ -34,6 +34,7 @@ from .analytics import lifespan_cdf
 from .chain import ChainState, build_chain
 from .errors import DecodeError, LedgerError, StoreError, TruncationError
 from .strategies import (
+    REF_LEN,
     MinimizedBlock,
     RefScriptCodec,
     SlackStats,
@@ -43,6 +44,7 @@ from .strategies import (
     deserialize_minimized,
     prune_keep_from,
     reduction_percent,
+    script_ref,
     serialize_minimized,
     slack_record,
     slack_restore_tx,
@@ -222,40 +224,53 @@ class StoreModel:
 _NO_TALLY = (0,) * len(fields(SlackStats))
 
 
-def _slack_records(txs, stored, witness_at, positions, height, readable: dict, locator: dict, codec, reuse=None, hold=()):
-    """The slack records of the txs at ``positions`` of block ``height``,
-    the sum of their tallies, and the (record, tally) of each position in
-    ``hold``, for a later record to reuse.
+def _slack_records(txs, stored, witness_at, height, readable: dict, locator: dict, codec, kept):
+    """The compact records of every tx of block ``height`` and the sum of
+    their tallies, then the same for the minimized record that keeps only
+    the positions in ``kept``.
 
-    A prevout becomes a local (height, position) reference only when
-    ``readable`` (height -> tx positions a reader has decoded) holds it.
-    As in the reader's own table, ``readable[height]`` holds the
-    positions already written in this record while it is encoded.
-    ``reuse`` maps positions to (record, tally) pairs made under the same
-    resolutions, which are taken as they are.  Tallies are summed as they
-    come, so a wide block's records do not each keep a tally alive.
+    A prevout becomes a local (height, position) reference only when a
+    reader decoding the body records in file order has that tx already:
+    at an earlier height when ``readable`` (height -> tx positions a
+    reader decodes there) holds it, at this height when it sits at an
+    earlier position of the same record.  A kept tx takes its compact
+    record unless a prevout resolved to a position the minimized record
+    drops; only then is it encoded again, with those positions left
+    unresolved.  Tallies are summed as they come.
     """
-    written = readable[height] = set()
+    drops = flagged = False  # drops: locate leaves the positions outside kept unresolved
 
     def locate(tx_hash):
+        nonlocal flagged
         pos = locator.get(tx_hash)
-        return pos if pos is not None and pos[1] in readable.get(pos[0], ()) else None
+        if pos is None:
+            return None
+        if pos[0] != height:
+            return pos if pos[1] in readable.get(pos[0], ()) else None
+        if pos[1] >= p:
+            return None
+        if pos[1] not in kept:
+            flagged = True
+            return None if drops else pos
+        return pos
 
-    records = []
-    total = _NO_TALLY
-    held = {}
-    for p in positions:
-        made = reuse.get(p) if reuse else None
-        if made is None:
-            made = slack_record(txs[p], stored[p], witness_at[p], locate, codec)
-        if p in hold:
-            held[p] = made
-        records.append(made[0])
+    records, kept_records = [], []
+    total = kept_total = _NO_TALLY
+    for p, tx in enumerate(txs):
+        flagged = False
+        record, tally = slack_record(tx, stored[p], witness_at[p], locate, codec)
+        records.append(record)
         # a list: tuple(map(...)) resizes as it fills, and every 12-tuple it
         # leaves would sit unused in the interpreter's tuple free list
-        total = list(map(add, total, made[1]))
-        written.add(p)
-    return records, total, held
+        total = list(map(add, total, tally))
+        if p in kept:
+            if flagged:
+                drops = True
+                record, tally = slack_record(tx, stored[p], witness_at[p], locate, codec)
+                drops = False
+            kept_records.append(record)
+            kept_total = list(map(add, kept_total, tally))
+    return records, total, kept_records, kept_total
 
 
 def _candidates(block: Block, height: int, kept, index, readable: dict, config, codec):
@@ -277,8 +292,8 @@ def _candidates(block: Block, height: int, kept, index, readable: dict, config, 
     yield KIND_RAW, join_block(block, stored), None, every
     if config.slack:
         count = encode_varint(VarInt(len(txs), block.tx_count_width))
-        records, tally, held = _slack_records(
-            txs, stored, witness_at, every, height, readable, index.locator, codec, hold=decoded
+        records, tally, kept_records, kept_tally = _slack_records(
+            txs, stored, witness_at, height, readable, index.locator, codec, decoded
         )
         yield KIND_COMPACT, b"".join([count, *records]), tally, every
         del records  # the minimized-slack record below needs only the kept txs' ones
@@ -295,22 +310,7 @@ def _candidates(block: Block, height: int, kept, index, readable: dict, config, 
 
         yield KIND_MINIMIZED, minimized(0, [stored[p] for p in kept]), None, decoded
         if config.slack:
-            # A kept tx's compact record resolves its prevouts as this record
-            # would, unless one of them points at a tx of this block that
-            # this record drops: only there do the readable positions differ.
-            locate = index.locator.get
-            reuse = {}
-            for p in kept:
-                for txin in txs[p].inputs:
-                    pos = locate(txin.previous_output.tx_hash)
-                    if pos is not None and pos[0] == height and pos[1] not in decoded:
-                        break
-                else:
-                    reuse[p] = held[p]
-            records, tally, _ = _slack_records(
-                txs, stored, witness_at, kept, height, readable, index.locator, codec, reuse
-            )
-            yield KIND_MINIMIZED, minimized(1, records), tally, decoded
+            yield KIND_MINIMIZED, minimized(1, kept_records), kept_tally, decoded
 
 
 def _encode_bodies(blocks, state, config, keep_from, kept_by_height, codec):
@@ -577,11 +577,11 @@ def _parse_kvs(data: bytes) -> dict:
     offset = 0
     while offset < len(data):
         index = len(kvs)
-        if offset + 8 > len(data):
+        if offset + REF_LEN > len(data):
             raise TruncationError(f"KVS record {index} reference cut short", offset=offset)
-        ref = bytes(data[offset : offset + 8])
-        length, used = decode_varint(data, offset + 8)
-        at = offset + 8 + used
+        ref = bytes(data[offset : offset + REF_LEN])
+        length, used = decode_varint(data, offset + REF_LEN)
+        at = offset + REF_LEN + used
         if at + length.value > len(data):
             raise TruncationError(f"KVS record {index} script cut short", offset=offset)
         kvs[ref] = bytes(data[at : at + length.value])
@@ -672,6 +672,8 @@ def decode_store_content(view: StoreView) -> StoreContent:
         elif rec.kind == KIND_COMPACT:
             header = spine_header(rec)
             n_tx, offset = decode_varint(rec.payload, 0)
+            if n_tx.value == 0:
+                raise DecodeError(f"compact record at height {rec.height} has zero transactions")
             txs = []
             wire_txs = []
             for i in range(n_tx.value):
@@ -698,11 +700,12 @@ def decode_store_content(view: StoreView) -> StoreContent:
                 raise StoreError(
                     f"minimized record at height {rec.height} has unknown tx encoding {tx_mode}"
                 )
-            stored_mb = deserialize_minimized(
+            mb = deserialize_minimized(
                 rec.payload[1:], view.spine[rec.height].block_hash, header.merkle_root
             )
-            kept = []
-            for pos, stored in stored_mb.kept:
+            if not mb.kept:
+                raise DecodeError(f"minimized record at height {rec.height} keeps no transaction")
+            for i, (pos, stored) in enumerate(mb.kept):
                 if tx_mode == 1:
                     tx, consumed = slack_restore_tx(stored, resolve, 0, codec)
                 else:
@@ -712,16 +715,9 @@ def decode_store_content(view: StoreView) -> StoreContent:
                         f"stray bytes after kept tx {pos} in minimized record at height "
                         f"{rec.height}"
                     )
-                kept.append((pos, restore(rec.height, pos, tx)))
-            content.minimized[rec.height] = MinimizedBlock(
-                stored_mb.block_hash,
-                stored_mb.merkle_root,
-                "copath",
-                stored_mb.n_leaves,
-                kept,
-                stored_mb.nodes,
-                retained_bytes=len(rec.payload),
-            )
+                mb.kept[i] = (pos, restore(rec.height, pos, tx))
+            mb.retained_bytes = len(rec.payload)
+            content.minimized[rec.height] = mb
     return content
 
 
@@ -815,7 +811,7 @@ def integrity_check(path: str) -> IntegrityReport:
     if seen_heights != sorted(set(seen_heights)):
         report.add("body_order", None, False, "body heights are not strictly ascending")
     for ref, script in view.kvs.items():
-        if hashlib.sha256(script).digest()[:8] != ref:
+        if script_ref(script) != ref:
             report.add("kvs_ref", None, False, f"reference {ref.hex()} does not match its script")
     report.section("layout")
 

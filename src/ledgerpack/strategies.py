@@ -31,6 +31,8 @@ from .wire import (
     _U16,
     _U32,
     _U64,
+    COINBASE_PREVOUT_HASH,
+    COINBASE_PREVOUT_INDEX,
     IDENTITY_CODEC,
     MAX_MONEY,
     Block,
@@ -317,13 +319,13 @@ class RefScriptCodec:
     scripts become a tag + 8-byte hash reference.
 
     The tag also records the original length-varint width so decoding
-    reproduces non-canonical encodings bit-exactly.  Each rewritten
-    script's reference is hashed once, when the codec is built.
+    reproduces non-canonical encodings bit-exactly.  A rewritten script's
+    reference is read from ``kvs`` (reference -> script), not hashed again.
     """
 
     def __init__(self, rewrite: set, kvs: dict):
         self.kvs = kvs
-        self._refs = {script: script_ref(script) for script in rewrite}
+        self._refs = {script: ref for ref, script in kvs.items() if script in rewrite}
 
     def encode(self, script: bytes, width: int) -> bytes:
         ref = self._refs.get(script)
@@ -422,9 +424,8 @@ def _as_resolve(resolver):
 
 _TAG_PASSTHROUGH_BYTE = bytes((_TAG_PASSTHROUGH,))
 _TAG_COMPACT_BYTE = bytes((_TAG_COMPACT,))
-_COINBASE_HASH = bytes(32)
-_COINBASE_PREVOUT = OutPoint(_COINBASE_HASH, 0xFFFFFFFF)
-_COINBASE_PREVOUT_BYTES = _COINBASE_HASH + _U32.pack(0xFFFFFFFF)
+_COINBASE_PREVOUT = OutPoint(COINBASE_PREVOUT_HASH, COINBASE_PREVOUT_INDEX)
+_COINBASE_PREVOUT_BYTES = COINBASE_PREVOUT_HASH + _U32.pack(COINBASE_PREVOUT_INDEX)
 _SEQUENCE_DEFAULT_BYTES = _U32.pack(SEQUENCE_DEFAULT)
 _MARKER = b"\x00\x01"  # segwit marker and flag
 _LOCAL = struct.Struct("<IH")
@@ -479,7 +480,7 @@ def slack_record(tx: Transaction, stored: bytes, witness_at: int, locate, codec=
     n_local = n_coinbase = n_verbatim = n_bigindex = n_seqesc = 0
     for txin in inputs:
         tx_hash, index = txin.previous_output
-        if index == 0xFFFFFFFF and tx_hash == _COINBASE_HASH:
+        if index == COINBASE_PREVOUT_INDEX and tx_hash == COINBASE_PREVOUT_HASH:
             kind = _PREVOUT_COINBASE
             n_coinbase += 1
         else:

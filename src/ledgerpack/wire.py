@@ -489,9 +489,7 @@ def encode_transaction(tx: Transaction, codec=IDENTITY_CODEC) -> bytes:
     Script fields are written through ``codec``.  A transaction decoded
     through the identity codec encodes to its source bytes.
     """
-    if tx.source is not None and codec is IDENTITY_CODEC:
-        return tx.source
-    return _serialize(tx, codec)[0]
+    return encode_with_witness_at(tx, codec)[0]
 
 
 def _legacy_preimage(raw: bytes, witness_at: int) -> bytes:
@@ -503,18 +501,12 @@ def _legacy_preimage(raw: bytes, witness_at: int) -> bytes:
 
 def encode_transaction_legacy(tx: Transaction) -> bytes:
     """Witness-stripped serialization, the preimage of the txid."""
-    if tx.source is not None:
-        return _legacy_preimage(tx.source, tx.witness_at)
-    _check_tx_invariants(tx)
-    parts = [_U32.pack(tx.version)]
-    _encode_tx_body(tx, parts, IDENTITY_CODEC)
-    parts.append(_U32.pack(tx.lock_time))
-    return b"".join(parts)
+    return _legacy_preimage(*encode_with_witness_at(tx))
 
 
 def txid(tx: Transaction) -> bytes:
     """Transaction id: double SHA-256 of the witness-stripped serialization."""
-    return dsha256(encode_transaction_legacy(tx))
+    return dsha256(_legacy_preimage(*encode_with_witness_at(tx)))
 
 
 def encode_with_witness_at(tx: Transaction, codec=IDENTITY_CODEC) -> tuple[bytes, int]:
@@ -527,10 +519,7 @@ def encode_with_witness_at(tx: Transaction, codec=IDENTITY_CODEC) -> tuple[bytes
 
 def encode_with_txid(tx: Transaction) -> tuple[bytes, bytes]:
     """(wire bytes, txid) of a transaction, serializing it at most once."""
-    if tx.source is not None:
-        raw, witness_at = tx.source, tx.witness_at
-    else:
-        raw, witness_at = _serialize(tx, IDENTITY_CODEC)
+    raw, witness_at = encode_with_witness_at(tx)
     return raw, dsha256(_legacy_preimage(raw, witness_at))
 
 

@@ -58,3 +58,28 @@ def test_private_functions_and_classes_have_a_reference(path):
     tree = _tree(path)
     unreferenced = sorted(set(_private_defs(tree)) - _used_names(tree))
     assert not unreferenced, f"{path.name} defines private names nothing references: {unreferenced}"
+
+
+def _private_constants(tree) -> list:
+    names = []
+    for stmt in tree.body:
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+        names += [
+            t.id
+            for t in targets
+            if isinstance(t, ast.Name) and t.id.startswith("_") and not t.id.startswith("__")
+        ]
+    return names
+
+
+def _read_names(tree) -> set:
+    return {
+        node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_private_constants_are_read(path):
+    tree = _tree(path)
+    unread = sorted(set(_private_constants(tree)) - _read_names(tree))
+    assert not unread, f"{path.name} assigns private constants it never reads: {unread}"
