@@ -3,6 +3,12 @@
 Reports go to stdout (CSV by default, line-delimited JSON with
 --format ldjson); --output redirects them to a file.  Exit codes:
 0 success, 1 data error (with a diagnostic on stderr), 2 usage error.
+
+Each subcommand imports only the modules it runs: ``store`` and
+``strategies`` inside the commands that build or read a store, and
+``fixture`` inside ``genchain``, so ``parse`` and ``stats`` load none
+of them.  Without a bytecode cache the interpreter compiles every
+module it imports, on every start.
 """
 
 from __future__ import annotations
@@ -23,8 +29,6 @@ from .analytics import (
 from .chain import build_chain
 from .errors import LedgerError
 from .reporting import render_rows, write_output
-from .store import build_store_model, estimate_footprint, integrity_check, write_store
-from .strategies import PruneConfig, StrategyConfig
 from .wire import MAINNET_MAGIC, hash_hex, read_block_file
 
 
@@ -93,7 +97,9 @@ def _add_strategy_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _strategy_config(args) -> StrategyConfig:
+def _strategy_config(args):
+    from .strategies import PruneConfig, StrategyConfig
+
     prune = None
     if args.prune_blocks is not None:
         prune = PruneConfig("blocks", blocks=args.prune_blocks)
@@ -227,6 +233,8 @@ def cmd_stats(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    from .store import estimate_footprint
+
     blocks = read_block_file(args.chain, args.magic)
     config = _strategy_config(args)
     report = estimate_footprint(blocks, config=config, magic=args.magic)
@@ -243,6 +251,8 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_compact(args) -> int:
+    from .store import build_store_model, write_store
+
     blocks = read_block_file(args.chain, args.magic)
     config = _strategy_config(args)
     model = build_store_model(blocks, config=config, magic=args.magic)
@@ -277,6 +287,8 @@ def cmd_compact(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .store import integrity_check
+
     report = integrity_check(args.store)
     rows = [
         {
@@ -295,7 +307,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_genchain(args) -> int:
-    from .fixture import ChainPlan, gen_chain  # only this command needs the generator
+    from .fixture import ChainPlan, gen_chain
 
     plan = ChainPlan(
         seed=args.seed,

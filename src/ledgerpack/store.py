@@ -35,7 +35,6 @@ from .chain import ChainState, build_chain
 from .errors import DecodeError, LedgerError, StoreError, TruncationError
 from .strategies import (
     REF_LEN,
-    MinimizedBlock,
     RefScriptCodec,
     SlackStats,
     StrategyConfig,
@@ -45,7 +44,8 @@ from .strategies import (
     prune_keep_from,
     reduction_percent,
     script_ref,
-    serialize_minimized,
+    serialize_copath,
+    serialize_kept,
     slack_record,
     slack_restore_tx,
     verify_leaf_in_minimized,
@@ -273,14 +273,16 @@ def _slack_records(txs, stored, witness_at, height, readable: dict, locator: dic
     return records, total, kept_records, kept_total
 
 
-def _candidates(block: Block, height: int, kept, index, readable: dict, config, codec):
+def _candidates(block: Block, height: int, kept, copath, index, readable: dict, config, codec):
     """Yield the block's faithful records in tie-break order, each as (kind,
     payload, its slack tally or None, the tx positions a reader decodes),
     one at a time, so a caller that keeps only the best never holds all.
+    ``copath`` is the serialized co-path of the kept txs, or None when the
+    block has no minimized candidate.
     """
     txs = block.transactions
     every = range(len(txs))
-    minimize = config.minimize and len(kept) < len(txs)
+    minimize = copath is not None
     decoded = set(kept) if minimize else ()
     # each tx's stored form and its witness offset, serialized once and shared
     # by the raw record, the slack records and the minimized-stored record
@@ -299,21 +301,15 @@ def _candidates(block: Block, height: int, kept, index, readable: dict, config, 
         del records  # the minimized-slack record below needs only the kept txs' ones
     if minimize:
         # payload: 1-byte kept-tx form (0 = stored, 1 = slack) + co-path serialization
-        ids = index.txids[height]
-        nodes = copath_nodes(ids, kept)
-        block_hash = index.spine[height].block_hash
-
         def minimized(tx_mode, records):
-            kept_txs = list(zip(kept, records))
-            mb = MinimizedBlock(block_hash, block.header.merkle_root, "copath", len(ids), kept_txs, nodes)
-            return bytes([tx_mode]) + serialize_minimized(mb)
+            return bytes([tx_mode]) + serialize_kept(len(txs), list(zip(kept, records))) + copath
 
         yield KIND_MINIMIZED, minimized(0, [stored[p] for p in kept]), None, decoded
         if config.slack:
             yield KIND_MINIMIZED, minimized(1, kept_records), kept_tally, decoded
 
 
-def _encode_bodies(blocks, state, config, keep_from, kept_by_height, codec):
+def _encode_bodies(blocks, state, config, keep_from, kept_by_height, copath_by_height, codec):
     """One full encoding pass; returns (body records, slack stats).
 
     Per block the shortest candidate payload wins, the earliest in
@@ -327,7 +323,9 @@ def _encode_bodies(blocks, state, config, keep_from, kept_by_height, codec):
         kept = kept_by_height.get(height)
         if config.minimize and not kept:
             continue
-        candidates = _candidates(blocks[height], height, kept, state.index, readable, config, codec)
+        candidates = _candidates(
+            blocks[height], height, kept, copath_by_height.get(height), state.index, readable, config, codec
+        )
         # min() keeps the first of equal payloads
         kind, payload, tally, readable[height] = min(candidates, key=lambda c: len(c[1]))
         if tally is not None:
@@ -382,13 +380,21 @@ def build_store_model(
         keep_from = prune_keep_from(tip, threshold)
 
     kept_by_height = {}  # height -> ascending positions of txs that still carry UTXOs
+    # height -> serialized co-path of its kept txs, for each height that drops
+    # a tx; it depends only on the txids, so both encoding passes share it
+    copath_by_height = {}
     if config.minimize:
         unspent = {op.tx_hash for op in state.utxos}
         for height in range(keep_from, len(blocks)):
-            kept_by_height[height] = [i for i, t in enumerate(state.index.txids[height]) if t in unspent]
+            ids = state.index.txids[height]
+            kept = kept_by_height[height] = [i for i, t in enumerate(ids) if t in unspent]
+            if 0 < len(kept) < len(ids):
+                copath_by_height[height] = serialize_copath(copath_nodes(ids, kept))
         del unspent  # free its table before the encoding passes
 
-    bodies, stats = _encode_bodies(blocks, state, config, keep_from, kept_by_height, IDENTITY_CODEC)
+    bodies, stats = _encode_bodies(
+        blocks, state, config, keep_from, kept_by_height, copath_by_height, IDENTITY_CODEC
+    )
 
     dedup_effective = False
     kvs: dict = {}
@@ -400,7 +406,7 @@ def build_store_model(
         del plan
         if codec is not None:
             bodies_dedup, stats_dedup = _encode_bodies(
-                blocks, state, config, keep_from, kept_by_height, codec
+                blocks, state, config, keep_from, kept_by_height, copath_by_height, codec
             )
             with_dedup = len(_bodies_file(bodies_dedup)) + len(_kvs_file(codec.kvs))
             if with_dedup < len(_bodies_file(bodies)):

@@ -181,21 +181,31 @@ def copath_nodes(ids: list, positions) -> dict:
     return {(lv, ix): levels[lv][ix] for lv, ix in copath_coordinates(len(ids), positions)}
 
 
+def serialize_kept(n_leaves: int, kept) -> bytes:
+    """Co-path record head: leaf count, then the kept txs by position."""
+    parts = [encode_varint(n_leaves), encode_varint(len(kept))]
+    for pos, tx_bytes in kept:
+        parts.append(encode_varint(pos))
+        parts.append(encode_varint(len(tx_bytes)))
+        parts.append(tx_bytes)
+    return b"".join(parts)
+
+
+def serialize_copath(nodes: dict) -> bytes:
+    """Co-path record tail: node count, then the nodes by (level, index)."""
+    parts = [encode_varint(len(nodes))]
+    for (level, index) in sorted(nodes):
+        parts.append(encode_varint(level))
+        parts.append(encode_varint(index))
+        parts.append(nodes[(level, index)])
+    return b"".join(parts)
+
+
 def serialize_minimized(mb: MinimizedBlock) -> bytes:
     """Co-path record payload: leaf count, kept txs by position, nodes."""
     if mb.mode != "copath":
         raise StrategyError(f"only copath mode serializes this way, not {mb.mode!r}")
-    parts = [encode_varint(mb.n_leaves), encode_varint(len(mb.kept))]
-    for pos, tx_bytes in mb.kept:
-        parts.append(encode_varint(pos))
-        parts.append(encode_varint(len(tx_bytes)))
-        parts.append(tx_bytes)
-    parts.append(encode_varint(len(mb.nodes)))
-    for (level, index) in sorted(mb.nodes):
-        parts.append(encode_varint(level))
-        parts.append(encode_varint(index))
-        parts.append(mb.nodes[(level, index)])
-    return b"".join(parts)
+    return serialize_kept(mb.n_leaves, mb.kept) + serialize_copath(mb.nodes)
 
 
 def deserialize_minimized(payload: bytes, block_hash: bytes, merkle_root: bytes) -> MinimizedBlock:
@@ -210,8 +220,18 @@ def deserialize_minimized(payload: bytes, block_hash: bytes, merkle_root: bytes)
     n_leaves = take_varint()
     k = take_varint()
     kept = []
+    last = -1
     for _ in range(k):
+        at = offset
         pos = take_varint()
+        # the writer keeps positions in ascending order, each once
+        if not last < pos < n_leaves:
+            raise DecodeError(
+                f"kept position {pos} does not ascend within {n_leaves} leaves",
+                offset=at,
+                field="minimized tx",
+            )
+        last = pos
         ln = take_varint()
         if offset + ln > len(payload):
             raise TruncationError("kept tx cut short", offset=offset, field="minimized tx")

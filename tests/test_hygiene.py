@@ -1,9 +1,9 @@
-"""Source hygiene: nothing at module level in ``ledgerpack`` goes unused.
+"""Source hygiene: no import or private name in ``ledgerpack`` goes unused.
 
-Every module-level import must be used in its module, and every
-module-level private (``_name``) function or class must be referenced
-there.  ``__init__.py`` is exempt: its imports are the package's
-re-exports.
+Every module-level import must be used in its module, every import
+inside a function must be used in that function, and every module-level
+private (``_name``) function or class must be referenced there.
+``__init__.py`` is exempt: its imports are the package's re-exports.
 """
 
 import ast
@@ -23,9 +23,9 @@ def _used_names(tree) -> set:
     return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
 
 
-def _imported_names(tree) -> list:
+def _imported_names(stmts) -> list:
     names = []
-    for stmt in tree.body:
+    for stmt in stmts:
         if isinstance(stmt, ast.Import):
             names += [a.asname or a.name.split(".")[0] for a in stmt.names]
         elif isinstance(stmt, ast.ImportFrom) and stmt.module != "__future__":
@@ -49,8 +49,19 @@ def test_every_module_is_checked():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_level_imports_are_used(path):
     tree = _tree(path)
-    unused = sorted(set(_imported_names(tree)) - _used_names(tree))
+    unused = sorted(set(_imported_names(tree.body)) - _used_names(tree))
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_function_level_imports_are_used_in_their_function(path):
+    unused = []
+    for fn in ast.walk(_tree(path)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            imports = [node for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))]
+            names = set(_imported_names(imports)) - _used_names(fn)
+            unused += [f"{fn.name}: {name}" for name in sorted(names)]
+    assert not unused, f"{path.name} imports names inside functions that never use them: {unused}"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
