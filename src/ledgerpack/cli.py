@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
+from dataclasses import fields
 
 from .analytics import (
     COMPOSITION_BUCKETS,
@@ -108,8 +109,13 @@ def _strategy_config(args):
     return StrategyConfig(prune=prune, minimize=args.minimize, slack=args.slack, dedup=args.dedup)
 
 
-def _emit(args, rows, fieldnames, float_digits=None) -> None:
-    write_output(render_rows(rows, fieldnames, args.format, float_digits), args.output)
+def _emit(args, rows, float_digits=None) -> None:
+    write_output(render_rows(rows, args.format, float_digits), args.output)
+
+
+def _emit_metrics(args, rows) -> None:
+    """A metric,value report from its (metric, value) rows."""
+    _emit(args, [{"metric": metric, "value": value} for metric, value in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -120,18 +126,15 @@ def cmd_parse(args) -> int:
     blocks = read_block_file(args.chain, args.magic)
     state = build_chain(blocks)
     rows = [
-        {"metric": "blocks", "value": len(blocks)},
-        {"metric": "transactions", "value": sum(len(b.transactions) for b in blocks)},
-        {"metric": "block_bytes", "value": sum(b.raw_size_bytes for b in blocks)},
-        {"metric": "tip_height", "value": state.index.tip_height()},
-        {
-            "metric": "tip_hash",
-            "value": hash_hex(state.index.tip_hash()) if blocks else "",
-        },
-        {"metric": "utxos", "value": len(state.utxos)},
-        {"metric": "spent_outputs", "value": len(state.spent_log)},
+        ("blocks", len(blocks)),
+        ("transactions", sum(len(b.transactions) for b in blocks)),
+        ("block_bytes", sum(b.raw_size_bytes for b in blocks)),
+        ("tip_height", state.index.tip_height()),
+        ("tip_hash", hash_hex(state.index.tip_hash()) if blocks else ""),
+        ("utxos", len(state.utxos)),
+        ("spent_outputs", len(state.spent_log)),
     ]
-    _emit(args, rows, ["metric", "value"])
+    _emit_metrics(args, rows)
     return 0
 
 
@@ -145,20 +148,11 @@ def cmd_stats(args) -> int:
         lo = args.created_from
         hi = args.created_to if args.created_to is not None else as_of
         cdf = lifespan_cdf(state.spent_log, state.utxos, (lo, hi), as_of)
-        rows = [
-            {"metric": "spent", "value": len(cdf.lifespans)},
-            {"metric": "dormant", "value": cdf.unspent_count},
-            {"metric": "total", "value": cdf.total},
-        ]
+        rows = [("spent", len(cdf.lifespans)), ("dormant", cdf.unspent_count), ("total", cdf.total)]
         for p in args.percentiles:
             value = percentile(cdf, p)
-            rows.append(
-                {
-                    "metric": f"p{p * 100:g}",
-                    "value": value if value is not None else "unreachable",
-                }
-            )
-        _emit(args, rows, ["metric", "value"])
+            rows.append((f"p{p * 100:g}", value if value is not None else "unreachable"))
+        _emit_metrics(args, rows)
         return 0
 
     if args.report == "composition":
@@ -178,38 +172,24 @@ def cmd_stats(args) -> int:
             rows.append(
                 {"epoch": epoch, "bucket": "total", "bytes": comp.total_bytes, "fraction": 1.0 if comp.total_bytes else 0.0}
             )
-        _emit(args, rows, ["epoch", "bucket", "bytes", "fraction"], {"fraction": 6})
+        _emit(args, rows, {"fraction": 6})
         return 0
 
     if args.report == "dedup":
         stats = script_dedup_stats(blocks)
-        rows = []
-        for side, data in [("input", stats.input_side), ("output", stats.output_side)]:
-            rows.append(
-                {
-                    "side": side,
-                    "duplicated_distinct": data.duplicated_distinct,
-                    "duplicated_occurrences": data.duplicated_occurrences,
-                    "total_bytes": data.total_bytes,
-                    "dedup_bytes": data.dedup_bytes,
-                    "avg_len": data.avg_len,
-                    "saved_bytes": data.saved_bytes,
-                }
-            )
-        _emit(
-            args,
-            rows,
-            [
-                "side",
-                "duplicated_distinct",
-                "duplicated_occurrences",
-                "total_bytes",
-                "dedup_bytes",
-                "avg_len",
-                "saved_bytes",
-            ],
-            {"avg_len": 2},
-        )
+        rows = [
+            {
+                "side": side,
+                "duplicated_distinct": data.duplicated_distinct,
+                "duplicated_occurrences": data.duplicated_occurrences,
+                "total_bytes": data.total_bytes,
+                "dedup_bytes": data.dedup_bytes,
+                "avg_len": data.avg_len,
+                "saved_bytes": data.saved_bytes,
+            }
+            for side, data in [("input", stats.input_side), ("output", stats.output_side)]
+        ]
+        _emit(args, rows, {"avg_len": 2})
         return 0
 
     # dormancy
@@ -228,7 +208,7 @@ def cmd_stats(args) -> int:
             "utxos": stats.blocks_with_utxo,
         }
     )
-    _emit(args, rows, ["row", "height_lo", "height_hi", "utxos"])
+    _emit(args, rows)
     return 0
 
 
@@ -246,7 +226,7 @@ def cmd_estimate(args) -> int:
         }
         for row in report.rows
     ]
-    _emit(args, rows, ["strategy", "bytes", "reduction_percent"], {"reduction_percent": 2})
+    _emit(args, rows, {"reduction_percent": 2})
     return 0
 
 
@@ -258,31 +238,28 @@ def cmd_compact(args) -> int:
     model = build_store_model(blocks, config=config, magic=args.magic)
     write_store(model, args.store)
     rows = [
-        {"metric": "store", "value": args.store},
-        {"metric": "strategy", "value": config.label()},
-        {"metric": "tip", "value": model.tip},
-        {"metric": "keep_from", "value": model.keep_from},
-        {
-            "metric": "prune_threshold",
-            "value": model.prune_threshold if model.prune_threshold is not None else "",
-        },
-        {"metric": "body_records", "value": len(model.bodies)},
-        {"metric": "dedup_effective", "value": int(model.dedup_effective)},
-        {"metric": "spine_bytes", "value": len(model.spine_bytes())},
-        {"metric": "bodies_bytes", "value": len(model.bodies_bytes())},
-        {"metric": "kvs_bytes", "value": len(model.kvs_bytes())},
-        {"metric": "retained_bytes", "value": model.retained_bytes},
+        ("store", args.store),
+        ("strategy", config.label()),
+        ("tip", model.tip),
+        ("keep_from", model.keep_from),
+        ("prune_threshold", model.prune_threshold if model.prune_threshold is not None else ""),
+        ("body_records", len(model.bodies)),
+        ("dedup_effective", int(model.dedup_effective)),
+        ("spine_bytes", len(model.spine_bytes())),
+        ("bodies_bytes", len(model.bodies_bytes())),
+        ("kvs_bytes", len(model.kvs_bytes())),
+        ("retained_bytes", model.retained_bytes),
     ]
     if model.slack_stats is not None:
         stats = model.slack_stats
         rows += [
-            {"metric": "slack_txs", "value": stats.txs},
-            {"metric": "slack_compact", "value": stats.compact},
-            {"metric": "slack_passthrough", "value": stats.passthrough},
-            {"metric": "slack_bytes_in", "value": stats.bytes_in},
-            {"metric": "slack_bytes_out", "value": stats.bytes_out},
+            ("slack_txs", stats.txs),
+            ("slack_compact", stats.compact),
+            ("slack_passthrough", stats.passthrough),
+            ("slack_bytes_in", stats.bytes_in),
+            ("slack_bytes_out", stats.bytes_out),
         ]
-    _emit(args, rows, ["metric", "value"])
+    _emit_metrics(args, rows)
     return 0
 
 
@@ -299,7 +276,7 @@ def cmd_verify(args) -> int:
         }
         for c in report.checks
     ]
-    _emit(args, rows, ["check", "height", "ok", "detail"])
+    _emit(args, rows)
     if not report.passed:
         print(f"verify: {len(report.failures)} check(s) failed", file=sys.stderr)
         return 1
@@ -309,31 +286,20 @@ def cmd_verify(args) -> int:
 def cmd_genchain(args) -> int:
     from .fixture import ChainPlan, gen_chain
 
-    plan = ChainPlan(
-        seed=args.seed,
-        n_blocks=args.blocks,
-        txs_per_block=args.txs_per_block,
-        outs_per_tx=args.outs_per_tx,
-        spend_kind=args.spend_kind,
-        spend_p=args.spend_p,
-        spend_lifespan=args.spend_lifespan,
-        dormant_fraction=args.dormant_fraction,
-        segwit_fraction=args.segwit_fraction,
-        dup_rate=args.dup_rate,
-        noncanonical_rate=args.noncanonical_rate,
-        magic=args.magic,
-    )
+    # an option left out is None, so ChainPlan's own default applies
+    given = {name: value for name, value in vars(args).items() if value is not None}
+    plan = ChainPlan(**{f.name: given[f.name] for f in fields(ChainPlan) if f.name in given})
     data, truth = gen_chain(plan)
     with open(args.chain_out, "wb") as fh:
         fh.write(data)
     rows = [
-        {"metric": "output", "value": args.chain_out},
-        {"metric": "blocks", "value": plan.n_blocks},
-        {"metric": "transactions", "value": truth.n_txs},
-        {"metric": "bytes", "value": len(data)},
-        {"metric": "utxos", "value": truth.utxo_count},
+        ("output", args.chain_out),
+        ("blocks", plan.n_blocks),
+        ("transactions", truth.n_txs),
+        ("bytes", len(data)),
+        ("utxos", truth.utxo_count),
     ]
-    _emit(args, rows, ["metric", "value"])
+    _emit_metrics(args, rows)
     return 0
 
 
@@ -415,17 +381,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("genchain", help="generate a deterministic synthetic block file")
     p.add_argument("chain_out", metavar="output", help="block file to write")
     p.add_argument("--seed", type=int, default=1, help="generator seed")
-    p.add_argument("--blocks", type=int, required=True, metavar="N", help="number of blocks")
-    p.add_argument("--txs-per-block", type=int, default=5, metavar="N")
-    p.add_argument("--outs-per-tx", type=_int_pair, default=(1, 3), metavar="MIN,MAX")
-    p.add_argument("--spend-kind", choices=("geometric", "fixed"), default="geometric")
-    p.add_argument("--spend-p", type=float, default=0.25, metavar="P")
-    p.add_argument("--spend-lifespan", type=int, default=3, metavar="L")
-    p.add_argument("--dormant-fraction", type=float, default=0.25, metavar="F")
-    p.add_argument("--segwit-fraction", type=float, default=0.3, metavar="F")
-    p.add_argument("--dup-rate", type=float, default=0.2, metavar="F")
-    p.add_argument("--noncanonical-rate", type=float, default=0.0, metavar="F")
-    p.add_argument("--magic", type=_magic_int, default=MAINNET_MAGIC, metavar="HEX")
+    p.add_argument(
+        "--blocks", type=int, required=True, dest="n_blocks", metavar="N", help="number of blocks"
+    )
+    p.add_argument("--txs-per-block", type=int, metavar="N")
+    p.add_argument("--outs-per-tx", type=_int_pair, metavar="MIN,MAX")
+    p.add_argument("--spend-kind", choices=("geometric", "fixed"))
+    p.add_argument("--spend-p", type=float, metavar="P")
+    p.add_argument("--spend-lifespan", type=int, metavar="L")
+    p.add_argument("--dormant-fraction", type=float, metavar="F")
+    p.add_argument("--segwit-fraction", type=float, metavar="F")
+    p.add_argument("--dup-rate", type=float, metavar="F")
+    p.add_argument("--noncanonical-rate", type=float, metavar="F")
+    p.add_argument("--magic", type=_magic_int, metavar="HEX")
     _add_report_flags(p)
     p.set_defaults(func=cmd_genchain)
 

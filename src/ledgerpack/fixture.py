@@ -112,6 +112,8 @@ def _validate(plan: ChainPlan) -> None:
             )
     else:
         raise GenerationError(f"unknown spend kind {plan.spend_kind!r}")
+    if not 1 <= plan.outs_per_tx[0] <= plan.outs_per_tx[1]:
+        raise GenerationError(f"outputs per tx need 1 <= MIN <= MAX, got {plan.outs_per_tx}")
     if not 0.0 <= plan.dormant_fraction <= 1.0:
         raise GenerationError("dormant_fraction must be in [0,1]")
     if plan.script_len[0] < 0 or plan.script_len[0] > plan.script_len[1]:

@@ -1,7 +1,8 @@
 """Byte-stable report rendering: CSV or line-delimited JSON.
 
-Every report is a list of dict rows sharing one field order.  Floats
-are rounded per field so the same input always renders the same bytes.
+Every report is a list of dict rows sharing one field order, and the
+first row's keys are its columns.  Floats are rounded per field so the
+same input always renders the same bytes.
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ import json
 import sys
 
 
-def render_rows(rows, fieldnames, fmt: str = "csv", float_digits: dict | None = None) -> str:
+def render_rows(rows, fmt: str = "csv", float_digits: dict | None = None) -> str:
     digits = float_digits or {}
+    fieldnames = list(rows[0]) if rows else []
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

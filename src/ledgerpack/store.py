@@ -10,8 +10,8 @@ Four files in a directory:
   payload.
 - ``scripts.kvs``: deduplicated scripts: 8-byte hash reference + length
   varint + script bytes.
-- ``manifest.txt``: line-delimited key=value (format version, magic,
-  strategy flags, counts, per-file SHA-256 digests).
+- ``manifest.txt``: one key=value line per :class:`Manifest` field, in
+  field order, then a checksum line over every earlier byte.
 
 Reported byte totals are the first three files exactly; the manifest is
 bookkeeping overhead and excluded.  Each retained block keeps the
@@ -79,25 +79,49 @@ _KIND_NAMES = {KIND_RAW: "raw", KIND_MINIMIZED: "minimized", KIND_COMPACT: "comp
 
 FORMAT_VERSION = 1
 
-# manifest lines, in the order they are written
-_MANIFEST_KEYS = (
-    "format",
-    "magic",
-    "tip",
-    "keep_from",
-    "prune",
-    "prune_threshold",
-    "minimize",
-    "slack",
-    "dedup_requested",
-    "dedup",
-    "spine_count",
-    "body_count",
-    "kvs_count",
-    "sha256_spine",
-    "sha256_bodies",
-    "sha256_kvs",
-)
+# How a manifest value is written, and how its text is read back
+_NUMBER = {"write": str, "read": int}
+_FLAG = {"write": lambda flag: str(int(flag)), "read": lambda text: text == "1"}
+_HEX32 = {"write": "{:08x}".format, "read": lambda text: int(text, 16)}
+# -1 stands for no threshold, and so does any negative number read back
+_THRESHOLD = {
+    "write": lambda value: str(-1 if value is None else value),
+    "read": lambda text: None if int(text) < 0 else int(text),
+}
+_TEXT = {"write": str, "read": str}
+
+
+@dataclass
+class Manifest:
+    """``manifest.txt``: one ``key=value`` line per field, in field order,
+    then a checksum line.  Each field's metadata writes its value and
+    reads the text back."""
+
+    format: int = field(metadata=_NUMBER)
+    magic: int = field(metadata=_HEX32)
+    tip: int = field(metadata=_NUMBER)
+    keep_from: int = field(metadata=_NUMBER)
+    prune: bool = field(metadata=_FLAG)
+    prune_threshold: int | None = field(metadata=_THRESHOLD)
+    minimize: bool = field(metadata=_FLAG)
+    slack: bool = field(metadata=_FLAG)
+    dedup_requested: bool = field(metadata=_FLAG)
+    dedup: bool = field(metadata=_FLAG)
+    spine_count: int = field(metadata=_NUMBER)
+    body_count: int = field(metadata=_NUMBER)
+    kvs_count: int = field(metadata=_NUMBER)
+    sha256_spine: str = field(metadata=_TEXT)
+    sha256_bodies: str = field(metadata=_TEXT)
+    sha256_kvs: str = field(metadata=_TEXT)
+
+    def text(self) -> str:
+        lines = [f"{f.name}={f.metadata['write'](getattr(self, f.name))}\n" for f in fields(self)]
+        body = "".join(lines)
+        # Trailing self-checksum covers every earlier manifest byte, so a
+        # flipped digit in tip/keep_from/flags cannot masquerade as a
+        # different but internally consistent store.
+        check = hashlib.sha256(body.encode("utf-8")).hexdigest()
+        return body + f"checksum={check}\n"
 
 
 @dataclass
@@ -185,36 +209,24 @@ class StoreModel:
         return self._file(MANIFEST_FILE, StoreModel._manifest, self)
 
     def _manifest(self) -> str:
-        digests = {
-            "spine": hashlib.sha256(self.spine_bytes()).hexdigest(),
-            "bodies": hashlib.sha256(self.bodies_bytes()).hexdigest(),
-            "kvs": hashlib.sha256(self.kvs_bytes()).hexdigest(),
-        }
-        threshold = self.prune_threshold if self.prune_threshold is not None else -1
-        values = (
-            FORMAT_VERSION,
-            f"{self.magic:08x}",
-            self.tip,
-            self.keep_from,
-            int(self.config.prune is not None),
-            threshold,
-            int(self.config.minimize),
-            int(self.config.slack),
-            int(self.config.dedup),
-            int(self.dedup_effective),
-            len(self.spine),
-            len(self.bodies),
-            len(self.kvs),
-            digests["spine"],
-            digests["bodies"],
-            digests["kvs"],
-        )
-        body = "".join(f"{key}={value}\n" for key, value in zip(_MANIFEST_KEYS, values, strict=True))
-        # Trailing self-checksum covers every earlier manifest byte, so a
-        # flipped digit in tip/keep_from/flags cannot masquerade as a
-        # different but internally consistent store.
-        check = hashlib.sha256(body.encode("utf-8")).hexdigest()
-        return body + f"checksum={check}\n"
+        return Manifest(
+            format=FORMAT_VERSION,
+            magic=self.magic,
+            tip=self.tip,
+            keep_from=self.keep_from,
+            prune=self.config.prune is not None,
+            prune_threshold=self.prune_threshold,
+            minimize=self.config.minimize,
+            slack=self.config.slack,
+            dedup_requested=self.config.dedup,
+            dedup=self.dedup_effective,
+            spine_count=len(self.spine),
+            body_count=len(self.bodies),
+            kvs_count=len(self.kvs),
+            sha256_spine=hashlib.sha256(self.spine_bytes()).hexdigest(),
+            sha256_bodies=hashlib.sha256(self.bodies_bytes()).hexdigest(),
+            sha256_kvs=hashlib.sha256(self.kvs_bytes()).hexdigest(),
+        ).text()
 
 
 # ---------------------------------------------------------------------------
@@ -454,24 +466,6 @@ def write_store(model: StoreModel, path: str) -> None:
         fh.write(model.manifest_text())
 
 
-@dataclass
-class Manifest:
-    format: int
-    magic: int
-    tip: int
-    keep_from: int
-    prune: bool
-    prune_threshold: int | None
-    minimize: bool
-    slack: bool
-    dedup_requested: bool
-    dedup: bool
-    spine_count: int
-    body_count: int
-    kvs_count: int
-    digests: dict
-
-
 def _parse_manifest(text: str) -> Manifest:
     head, sep, tail = text.rpartition("checksum=")
     if not sep or not head.endswith("\n"):
@@ -487,36 +481,19 @@ def _parse_manifest(text: str) -> Manifest:
             raise StoreError(f"manifest line {lineno} is not key=value: {line!r}")
         key, _, value = line.partition("=")
         values[key] = value
-    missing = set(_MANIFEST_KEYS) - set(values)
+    missing = {f.name for f in fields(Manifest)} - set(values)
     if missing:
         raise StoreError(f"manifest is missing keys: {sorted(missing)}")
     try:
-        fmt = int(values["format"])
-        if fmt != FORMAT_VERSION:
-            raise StoreError(f"unsupported store format {fmt} (this build reads {FORMAT_VERSION})")
-        threshold = int(values["prune_threshold"])
-        return Manifest(
-            format=fmt,
-            magic=int(values["magic"], 16),
-            tip=int(values["tip"]),
-            keep_from=int(values["keep_from"]),
-            prune=values["prune"] == "1",
-            prune_threshold=None if threshold < 0 else threshold,
-            minimize=values["minimize"] == "1",
-            slack=values["slack"] == "1",
-            dedup_requested=values["dedup_requested"] == "1",
-            dedup=values["dedup"] == "1",
-            spine_count=int(values["spine_count"]),
-            body_count=int(values["body_count"]),
-            kvs_count=int(values["kvs_count"]),
-            digests={
-                "spine": values["sha256_spine"],
-                "bodies": values["sha256_bodies"],
-                "kvs": values["sha256_kvs"],
-            },
-        )
+        parsed = {f.name: f.metadata["read"](values[f.name]) for f in fields(Manifest)}
+        manifest = Manifest(**parsed)
     except ValueError as exc:
         raise StoreError(f"manifest has a malformed value: {exc}") from exc
+    if manifest.format != FORMAT_VERSION:
+        raise StoreError(
+            f"unsupported store format {manifest.format} (this build reads {FORMAT_VERSION})"
+        )
+    return manifest
 
 
 @dataclass
@@ -779,7 +756,7 @@ def integrity_check(path: str) -> IntegrityReport:
     for name, filename in [("spine", SPINE_FILE), ("bodies", BODIES_FILE), ("kvs", KVS_FILE)]:
         try:
             digest = hashlib.sha256(_read_file(path, filename)).hexdigest()
-            ok = digest == manifest.digests[name]
+            ok = digest == getattr(manifest, f"sha256_{name}")
             report.add(
                 f"digest_{name}", None, ok, "" if ok else "file does not match manifest digest"
             )
@@ -883,16 +860,7 @@ def estimate_footprint(
     baseline = build_store_model(blocks, state, StrategyConfig(), magic).retained_bytes
     rows = [ReportRow("baseline", baseline, 0.0)]
 
-    singles = []
-    if config.prune is not None:
-        singles.append(StrategyConfig(prune=config.prune))
-    if config.minimize:
-        singles.append(StrategyConfig(minimize=True))
-    if config.slack:
-        singles.append(StrategyConfig(slack=True))
-    if config.dedup:
-        singles.append(StrategyConfig(dedup=True))
-
+    singles = [StrategyConfig(**{name: getattr(config, name)}) for name in config.enabled()]
     combined = [config] if len(singles) > 1 else []
     for cfg in singles + combined:
         # keep only the size, so each model and its serialized files are

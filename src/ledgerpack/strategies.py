@@ -852,17 +852,12 @@ class StrategyConfig:
     slack: bool = False
     dedup: bool = False
 
+    def enabled(self) -> list:
+        """Names of the enabled strategies, in field order."""
+        return [f.name for f in fields(self) if getattr(self, f.name)]
+
     def label(self) -> str:
-        parts = []
-        if self.prune is not None:
-            parts.append("prune")
-        if self.minimize:
-            parts.append("minimize")
-        if self.slack:
-            parts.append("slack")
-        if self.dedup:
-            parts.append("dedup")
-        return "+".join(parts) if parts else "baseline"
+        return "+".join(self.enabled()) or "baseline"
 
     def any_enabled(self) -> bool:
-        return self.prune is not None or self.minimize or self.slack or self.dedup
+        return bool(self.enabled())
