@@ -79,15 +79,26 @@ _KIND_NAMES = {KIND_RAW: "raw", KIND_MINIMIZED: "minimized", KIND_COMPACT: "comp
 
 FORMAT_VERSION = 1
 
+
+def _read_flag(text: str) -> bool:
+    if text not in ("0", "1"):
+        raise ValueError(f"flag {text!r} is neither 0 nor 1")
+    return text == "1"
+
+
+def _read_threshold(text: str) -> int | None:
+    value = int(text)
+    if value < -1:
+        raise ValueError(f"prune threshold {value} is below -1")
+    return None if value == -1 else value
+
+
 # How a manifest value is written, and how its text is read back
 _NUMBER = {"write": str, "read": int}
-_FLAG = {"write": lambda flag: str(int(flag)), "read": lambda text: text == "1"}
+_FLAG = {"write": lambda flag: str(int(flag)), "read": _read_flag}
 _HEX32 = {"write": "{:08x}".format, "read": lambda text: int(text, 16)}
-# -1 stands for no threshold, and so does any negative number read back
-_THRESHOLD = {
-    "write": lambda value: str(-1 if value is None else value),
-    "read": lambda text: None if int(text) < 0 else int(text),
-}
+# -1 stands for no threshold
+_THRESHOLD = {"write": lambda value: str(-1 if value is None else value), "read": _read_threshold}
 _TEXT = {"write": str, "read": str}
 
 
@@ -179,7 +190,6 @@ class StoreModel:
     tip: int
     keep_from: int
     config: StrategyConfig
-    dedup_effective: bool
     prune_threshold: int | None
     spine: list = field(default_factory=list)
     bodies: list = field(default_factory=list)
@@ -200,6 +210,10 @@ class StoreModel:
 
     def kvs_bytes(self) -> bytes:
         return self._file(KVS_FILE, _kvs_file, self.kvs)
+
+    @property
+    def dedup_effective(self) -> bool:
+        return bool(self.kvs)
 
     @property
     def retained_bytes(self) -> int:
@@ -321,8 +335,9 @@ def _candidates(block: Block, height: int, kept, copath, index, readable: dict, 
             yield KIND_MINIMIZED, minimized(1, kept_records), kept_tally, decoded
 
 
-def _encode_bodies(blocks, state, config, keep_from, kept_by_height, copath_by_height, codec):
-    """One full encoding pass; returns (body records, slack stats).
+def _encode_bodies(blocks, state, config, keep_from, minimized, codec):
+    """One full encoding pass; returns (body records, slack stats, the
+    tx positions a reader decodes at each height that has a record).
 
     Per block the shortest candidate payload wins, the earliest in
     :func:`_candidates` order on a tie.  Only the winner's slack tally
@@ -332,33 +347,32 @@ def _encode_bodies(blocks, state, config, keep_from, kept_by_height, copath_by_h
     stats = SlackStats() if config.slack else None
     bodies = []
     for height in range(keep_from, len(blocks)):
-        kept = kept_by_height.get(height)
+        kept, copath = minimized.get(height, (None, None))
         if config.minimize and not kept:
             continue
         candidates = _candidates(
-            blocks[height], height, kept, copath_by_height.get(height), state.index, readable, config, codec
+            blocks[height], height, kept, copath, state.index, readable, config, codec
         )
         # min() keeps the first of equal payloads
         kind, payload, tally, readable[height] = min(candidates, key=lambda c: len(c[1]))
         if tally is not None:
             stats.count(tally)
         bodies.append(BodyRecord(height, kind, payload))
-    return bodies, stats
+    return bodies, stats, readable
 
 
-def _script_sites(blocks, bodies, kept_by_height) -> Counter:
+def _script_sites(blocks, readable) -> Counter:
     """Occurrences of every script field the chosen body records store."""
-    scripts = []  # in field order, so the counter's first-seen order is the stores'
+    scripts = []  # in stored order, so the counter's first-seen order is the stores'
     extend = scripts.extend
-    for rec in bodies:
-        txs = blocks[rec.height].transactions
-        positions = kept_by_height[rec.height] if rec.kind == KIND_MINIMIZED else range(len(txs))
-        for i in positions:
+    for height, positions in readable.items():
+        txs = blocks[height].transactions
+        for i in sorted(positions):
             tx = txs[i]
             extend([txin.script for txin in tx.inputs])
+            extend([txout.script for txout in tx.outputs])
             for stack in tx.witnesses:
                 extend(stack.items)
-            extend([txout.script for txout in tx.outputs])
     return Counter(scripts)
 
 
@@ -391,61 +405,44 @@ def build_store_model(
         threshold = config.prune.resolve(cdf)
         keep_from = prune_keep_from(tip, threshold)
 
-    kept_by_height = {}  # height -> ascending positions of txs that still carry UTXOs
-    # height -> serialized co-path of its kept txs, for each height that drops
-    # a tx; it depends only on the txids, so both encoding passes share it
-    copath_by_height = {}
+    # height -> (ascending positions of txs that still carry UTXOs, serialized
+    # co-path of them or None when none is dropped); the co-path depends only
+    # on the txids, so both encoding passes share it
+    minimized = {}
     if config.minimize:
         unspent = {op.tx_hash for op in state.utxos}
         for height in range(keep_from, len(blocks)):
             ids = state.index.txids[height]
-            kept = kept_by_height[height] = [i for i, t in enumerate(ids) if t in unspent]
-            if 0 < len(kept) < len(ids):
-                copath_by_height[height] = serialize_copath(copath_nodes(ids, kept))
+            kept = [i for i, t in enumerate(ids) if t in unspent]
+            drops = 0 < len(kept) < len(ids)
+            minimized[height] = (kept, serialize_copath(copath_nodes(ids, kept)) if drops else None)
         del unspent  # free its table before the encoding passes
 
-    bodies, stats = _encode_bodies(
-        blocks, state, config, keep_from, kept_by_height, copath_by_height, IDENTITY_CODEC
+    bodies, stats, readable = _encode_bodies(
+        blocks, state, config, keep_from, minimized, IDENTITY_CODEC
     )
 
-    dedup_effective = False
     kvs: dict = {}
     if config.dedup:
-        plan = dedup_scripts(_script_sites(blocks, bodies, kept_by_height))
+        plan = dedup_scripts(_script_sites(blocks, readable))
         # the codec keeps each rewritten script with its reference, so the
         # plan, and its own set of them, is freed before the second pass
         codec = RefScriptCodec(plan.rewrite, plan.kvs) if plan.rewrite else None
         del plan
         if codec is not None:
-            bodies_dedup, stats_dedup = _encode_bodies(
-                blocks, state, config, keep_from, kept_by_height, copath_by_height, codec
+            # the same heights get a record, so ``readable`` keeps its keys
+            bodies_dedup, stats_dedup, _ = _encode_bodies(
+                blocks, state, config, keep_from, minimized, codec
             )
             with_dedup = len(_bodies_file(bodies_dedup)) + len(_kvs_file(codec.kvs))
             if with_dedup < len(_bodies_file(bodies)):
-                dedup_effective = True
-                bodies = bodies_dedup
-                stats = stats_dedup
-                kvs = codec.kvs
+                bodies, stats, kvs = bodies_dedup, stats_dedup, codec.kvs
 
-    with_body = {rec.height for rec in bodies}
-    spine = []
-    for height in range(tip + 1):
-        entry = state.index.spine[height]
-        header = blocks[height].header if height in with_body else None
-        spine.append(SpineRecord(entry.block_hash, header))
-
-    return StoreModel(
-        magic=magic,
-        tip=tip,
-        keep_from=keep_from,
-        config=config,
-        dedup_effective=dedup_effective,
-        prune_threshold=threshold,
-        spine=spine,
-        bodies=bodies,
-        kvs=kvs,
-        slack_stats=stats,
-    )
+    spine = [
+        SpineRecord(entry.block_hash, blocks[height].header if height in readable else None)
+        for height, entry in enumerate(state.index.spine[: tip + 1])
+    ]
+    return StoreModel(magic, tip, keep_from, config, threshold, spine, bodies, kvs, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -738,7 +735,8 @@ class IntegrityReport:
 
 
 def integrity_check(path: str) -> IntegrityReport:
-    """Verify digests, spine continuity, Merkle roots and co-paths.
+    """Verify digests, spine continuity, the manifest's strategy fields
+    against the records, Merkle roots and co-paths.
 
     A missing body below the prune threshold is by design, never a
     failure; a body record outside the retained range is one.
@@ -788,14 +786,38 @@ def integrity_check(path: str) -> IntegrityReport:
 
     seen_heights = []
     for rec in view.bodies:
-        if rec.height < view.manifest.keep_from or rec.height > view.manifest.tip:
+        if rec.height < manifest.keep_from or rec.height > manifest.tip:
             report.add("body_height", rec.height, False, "body record outside the retained range")
         seen_heights.append(rec.height)
-    if seen_heights != sorted(set(seen_heights)):
+    with_body = set(seen_heights)
+    if seen_heights != sorted(with_body):
         report.add("body_order", None, False, "body heights are not strictly ascending")
     for ref, script in view.kvs.items():
         if script_ref(script) != ref:
             report.add("kvs_ref", None, False, f"reference {ref.hex()} does not match its script")
+
+    # the manifest's strategy fields against each other and the records
+    threshold = manifest.prune_threshold
+    if (threshold is not None) != (manifest.prune and manifest.tip >= 0):
+        detail = "prune_threshold must be set exactly when prune is on and tip >= 0"
+        report.add("manifest_prune", None, False, detail)
+    keep_from = 0 if threshold is None else prune_keep_from(manifest.tip, threshold)
+    if manifest.keep_from != keep_from:
+        report.add("manifest_keep_from", None, False, f"keep_from should be {keep_from}")
+    if manifest.dedup and not manifest.dedup_requested:
+        report.add("manifest_dedup", None, False, "dedup took effect without being requested")
+    if manifest.dedup != (manifest.kvs_count > 0):
+        detail = f"dedup={int(manifest.dedup)} with {manifest.kvs_count} KVS record(s)"
+        report.add("manifest_dedup", None, False, detail)
+    for height, rec in enumerate(view.spine):
+        has_header = rec.header is not None
+        if has_header != (height in with_body):
+            detail = "a header but no body record" if has_header else "a body record but no header"
+            report.add("spine_header", height, False, detail)
+    if not manifest.minimize:  # only minimize leaves a retained height without a body
+        for height in range(max(manifest.keep_from, 0), min(manifest.tip + 1, len(view.spine))):
+            if height not in with_body:
+                report.add("body_missing", height, False, "retained height has no body record")
     report.section("layout")
 
     try:
@@ -804,6 +826,16 @@ def integrity_check(path: str) -> IntegrityReport:
     except LedgerError as exc:  # corrupt payloads must report, not crash
         report.add("decode", None, False, f"{type(exc).__name__}: {exc}")
         return report
+
+    # record kinds that a strategy flag left off never writes; checked once
+    # the records decode, so a record that does not reports only that
+    for rec in view.bodies:
+        if rec.kind == KIND_COMPACT and not manifest.slack:
+            report.add("body_kind", rec.height, False, "compact record without slack")
+        if rec.kind == KIND_MINIMIZED and not manifest.minimize:
+            report.add("body_kind", rec.height, False, "minimized record without minimize")
+        if rec.kind == KIND_MINIMIZED and rec.payload[0] == 1 and not manifest.slack:
+            report.add("body_kind", rec.height, False, "slack-encoded kept txs without slack")
 
     # Leaves come from the txids decoding computed.  A body past the end
     # of the spine has no hash to compare; the layout checks report it.

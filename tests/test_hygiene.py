@@ -1,9 +1,12 @@
-"""Source hygiene: no import or private name in ``ledgerpack`` goes unused.
+"""Source hygiene: no import, private name or parameter in ``ledgerpack``
+goes unused.
 
 Every module-level import must be used in its module, every import
-inside a function must be used in that function, and every module-level
-private (``_name``) function or class must be referenced there.
-``__init__.py`` is exempt: its imports are the package's re-exports.
+inside a function must be used in that function, every module-level
+private (``_name``) function or class must be referenced there, and
+every parameter of a function must be read in its body (a method's
+``self`` or ``cls`` excepted).  ``__init__.py`` is exempt: its imports
+are the package's re-exports.
 """
 
 import ast
@@ -94,3 +97,20 @@ def test_private_constants_are_read(path):
     tree = _tree(path)
     unread = sorted(set(_private_constants(tree)) - _read_names(tree))
     assert not unread, f"{path.name} assigns private constants it never reads: {unread}"
+
+
+def _unread_parameters(fn) -> list:
+    args = fn.args
+    params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+    params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+    read = set().union(*(_read_names(stmt) for stmt in fn.body))
+    return [name for name in params if name not in read and name not in ("self", "cls")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    unread = []
+    for fn in ast.walk(_tree(path)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            unread += [f"{fn.name}({name})" for name in _unread_parameters(fn)]
+    assert not unread, f"{path.name} has function parameters their bodies never read: {unread}"
