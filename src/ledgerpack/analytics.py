@@ -14,10 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import AnalyticsError
-from .wire import Block, Transaction, varint_width
-
-# mainnet heights used by the default CLI flags
-SEGWIT_BOUNDARY = 481_824
+from .wire import SEGWIT_BOUNDARY, Block, Transaction, varint_width
 
 COMPOSITION_BUCKETS = (
     "block_header",

@@ -5,10 +5,16 @@ Reports go to stdout (CSV by default, line-delimited JSON with
 0 success, 1 data error (with a diagnostic on stderr), 2 usage error.
 
 Each subcommand imports only the modules it runs: ``store`` and
-``strategies`` inside the commands that build or read a store, and
-``fixture`` inside ``genchain``, so ``parse`` and ``stats`` load none
-of them.  Without a bytecode cache the interpreter compiles every
-module it imports, on every start.
+``strategies`` inside the commands that build or read a store,
+``fixture`` inside ``genchain``, ``analytics`` inside ``stats`` (and in
+the store only for ``--prune-quantile`` and ``--dedup-scripts``), and
+``json`` only for an ldjson report.  Without a bytecode cache the
+interpreter compiles every module it imports, on every start.
+
+:func:`run` is the process entry, for ``python -m ledgerpack.cli`` and
+the ``ledgerpack`` script.  It freezes the heap after the command, so
+the interpreter's shutdown does not walk every object; :func:`main`
+leaves the heap alone for in-process callers.
 """
 
 from __future__ import annotations
@@ -18,19 +24,10 @@ import gc
 import sys
 from dataclasses import fields
 
-from .analytics import (
-    COMPOSITION_BUCKETS,
-    SEGWIT_BOUNDARY,
-    composition_breakdown,
-    dormancy_stats,
-    lifespan_cdf,
-    percentile,
-    script_dedup_stats,
-)
 from .chain import build_chain
 from .errors import LedgerError
 from .reporting import render_rows, write_output
-from .wire import MAINNET_MAGIC, hash_hex, read_block_file
+from .wire import MAINNET_MAGIC, SEGWIT_BOUNDARY, hash_hex, read_block_file
 
 
 def _magic_int(text: str) -> int:
@@ -139,6 +136,16 @@ def cmd_parse(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    from .analytics import (
+        COMPOSITION_BUCKETS,
+        LifespanCdf,
+        composition_breakdown,
+        dormancy_stats,
+        lifespan_cdf,
+        percentile,
+        script_dedup_stats,
+    )
+
     blocks = read_block_file(args.chain, args.magic)
 
     if args.report == "lifespan":
@@ -147,7 +154,11 @@ def cmd_stats(args) -> int:
         as_of = args.as_of if args.as_of is not None else tip
         lo = args.created_from
         hi = args.created_to if args.created_to is not None else as_of
-        cdf = lifespan_cdf(state.spent_log, state.utxos, (lo, hi), as_of)
+        if not blocks and lo == 0 and args.created_to is None:
+            # the default interval [0, tip] of a chain of no blocks holds no UTXO
+            cdf = LifespanCdf([], 0, (lo, hi), as_of)
+        else:
+            cdf = lifespan_cdf(state.spent_log, state.utxos, (lo, hi), as_of)
         rows = [("spent", len(cdf.lifespans)), ("dormant", cdf.unspent_count), ("total", cdf.total)]
         for p in args.percentiles:
             value = percentile(cdf, p)
@@ -419,5 +430,19 @@ def main(argv=None) -> int:
             gc.enable()
 
 
+def run() -> None:
+    """The process entry: run :func:`main`, then exit with its code.
+
+    Shutdown's collections would walk every object the command left and
+    free nothing that module teardown does not; they skip a frozen heap.
+    Exit still runs atexit hooks, flushes output and tears down modules.
+    """
+    try:
+        code = main()
+    finally:
+        gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import sys
 
 
@@ -30,6 +29,8 @@ def render_rows(rows, fmt: str = "csv", float_digits: dict | None = None) -> str
             writer.writerow(out)
         return buf.getvalue()
     if fmt == "ldjson":
+        import json  # only here, so a CSV report never loads it
+
         lines = []
         for row in rows:
             item = {}

@@ -30,7 +30,6 @@ from collections import Counter
 from dataclasses import dataclass, field, fields
 from operator import add
 
-from .analytics import lifespan_cdf
 from .chain import ChainState, build_chain
 from .errors import DecodeError, LedgerError, StoreError, TruncationError
 from .strategies import (
@@ -80,12 +79,6 @@ _KIND_NAMES = {KIND_RAW: "raw", KIND_MINIMIZED: "minimized", KIND_COMPACT: "comp
 FORMAT_VERSION = 1
 
 
-def _read_flag(text: str) -> bool:
-    if text not in ("0", "1"):
-        raise ValueError(f"flag {text!r} is neither 0 nor 1")
-    return text == "1"
-
-
 def _read_threshold(text: str) -> int | None:
     value = int(text)
     if value < -1:
@@ -93,9 +86,10 @@ def _read_threshold(text: str) -> int | None:
     return None if value == -1 else value
 
 
-# How a manifest value is written, and how its text is read back
+# How a manifest value is written, and how its text is read back; the
+# reader accepts a value only when writing it back gives the same text
 _NUMBER = {"write": str, "read": int}
-_FLAG = {"write": lambda flag: str(int(flag)), "read": _read_flag}
+_FLAG = {"write": lambda flag: str(int(flag)), "read": lambda text: bool(int(text))}
 _HEX32 = {"write": "{:08x}".format, "read": lambda text: int(text, 16)}
 # -1 stands for no threshold
 _THRESHOLD = {"write": lambda value: str(-1 if value is None else value), "read": _read_threshold}
@@ -401,6 +395,8 @@ def build_store_model(
     if config.prune is not None and tip >= 0:
         cdf = None
         if config.prune.mode == "quantile":
+            from .analytics import lifespan_cdf
+
             cdf = lifespan_cdf(state.spent_log, state.utxos, (0, tip), tip)
         threshold = config.prune.resolve(cdf)
         keep_from = prune_keep_from(tip, threshold)
@@ -463,6 +459,18 @@ def write_store(model: StoreModel, path: str) -> None:
         fh.write(model.manifest_text())
 
 
+def _read_value(f, text: str):
+    """Field ``f``'s value, only if writing it back gives ``text`` again."""
+    try:
+        value = f.metadata["read"](text)
+    except ValueError as exc:
+        raise ValueError(f"{f.name}: {exc}") from None
+    written = f.metadata["write"](value)
+    if written != text:
+        raise ValueError(f"{f.name} {text!r} is not its written form {written!r}")
+    return value
+
+
 def _parse_manifest(text: str) -> Manifest:
     head, sep, tail = text.rpartition("checksum=")
     if not sep or not head.endswith("\n"):
@@ -482,7 +490,7 @@ def _parse_manifest(text: str) -> Manifest:
     if missing:
         raise StoreError(f"manifest is missing keys: {sorted(missing)}")
     try:
-        parsed = {f.name: f.metadata["read"](values[f.name]) for f in fields(Manifest)}
+        parsed = {f.name: _read_value(f, values[f.name]) for f in fields(Manifest)}
         manifest = Manifest(**parsed)
     except ValueError as exc:
         raise StoreError(f"manifest has a malformed value: {exc}") from exc

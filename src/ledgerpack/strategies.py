@@ -23,7 +23,6 @@ import struct
 from collections import Counter
 from dataclasses import dataclass, field, fields
 
-from .analytics import LifespanCdf, percentile, script_multisets
 from .errors import DecodeError, QuantileUnreachableError, StrategyError, TruncationError
 from .wire import (
     _ONE_BYTE,
@@ -56,6 +55,12 @@ from .wire import (
     merkle_levels,
     txid,
 )
+
+# ``analytics`` is imported only by the functions that run it, so a store
+# without quantile prune or dedup never loads it
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .analytics import LifespanCdf
 
 SEQUENCE_DEFAULT = 0xFFFFFFFF
 COMMON_VERSIONS = (1, 2)
@@ -104,6 +109,8 @@ def choose_prune_threshold(cdf: LifespanCdf, p: float) -> int:
     Unreachable when too many UTXOs are dormant (CDF never reaches p);
     that is an input property, so the error suggests the explicit mode.
     """
+    from .analytics import percentile
+
     result = percentile(cdf, p)
     if result is None:
         reach = len(cdf.lifespans) / cdf.total if cdf.total else 0.0
@@ -814,6 +821,8 @@ def dedup_scripts(counts_or_blocks) -> DedupPlan:
     and the abstract saving len*(occ-1) - ref*occ is positive, which
     also rejects every script of 8 bytes or shorter.
     """
+    from .analytics import script_multisets
+
     if isinstance(counts_or_blocks, Counter):
         counts = counts_or_blocks
     else:

@@ -38,6 +38,8 @@ MAX_MONEY = 21_000_000 * 100_000_000
 COINBASE_PREVOUT_HASH = bytes(32)
 COINBASE_PREVOUT_INDEX = 0xFFFFFFFF
 OP_RETURN = 0x6A
+# mainnet height of the first segwit block, the default epoch split of reports
+SEGWIT_BOUNDARY = 481_824
 
 _HEADER = struct.Struct("<I32s32sIII")
 _U16 = struct.Struct("<H")

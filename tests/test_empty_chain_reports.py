@@ -2,8 +2,9 @@
 
 These are the smallest reports the CLI writes.  Each must still exit 0
 and keep its full header, in CSV and in ldjson alike.  ``stats
-lifespan`` is left out: on an empty chain its creation interval is
-empty, and it exits 1 by design.
+lifespan``'s default creation interval, ``[0, tip]``, holds no UTXO on
+such a chain, so it reports zero counts and every percentile
+unreachable; an explicit empty interval still exits 1.
 """
 
 import json
@@ -15,6 +16,7 @@ from ledgerpack.cli import main
 ALL_FLAGS = ["--prune-blocks", "1", "--minimize", "--slack", "--dedup-scripts"]
 COMMANDS = {
     "parse": ["parse", "{chain}"],
+    "stats lifespan": ["stats", "lifespan", "{chain}"],
     "stats composition": ["stats", "composition", "{chain}"],
     "stats dedup": ["stats", "dedup", "{chain}"],
     "stats dormancy": ["stats", "dormancy", "{chain}"],
@@ -43,6 +45,15 @@ EXPECTED_CSV = {
         "tip_hash,\n"
         "utxos,0\n"
         "spent_outputs,0\n"
+    ),
+    "stats lifespan": (
+        "metric,value\n"
+        "spent,0\n"
+        "dormant,0\n"
+        "total,0\n"
+        "p50,unreachable\n"
+        "p90,unreachable\n"
+        "p99,unreachable\n"
     ),
     "stats composition": "epoch,bucket,bytes,fraction\n"
     + "".join(f"{epoch},{bucket},0,0.000000\n" for epoch in ("pre", "post", "total") for bucket in BUCKETS),
@@ -103,6 +114,14 @@ EXPECTED_LDJSON = {
         {"metric": "tip_hash", "value": ""},
         {"metric": "utxos", "value": 0},
         {"metric": "spent_outputs", "value": 0},
+    ],
+    "stats lifespan": [
+        {"metric": "spent", "value": 0},
+        {"metric": "dormant", "value": 0},
+        {"metric": "total", "value": 0},
+        {"metric": "p50", "value": "unreachable"},
+        {"metric": "p90", "value": "unreachable"},
+        {"metric": "p99", "value": "unreachable"},
     ],
     "stats composition": [
         {"epoch": epoch, "bucket": bucket, "bytes": 0, "fraction": 0.0}
@@ -192,3 +211,17 @@ def test_every_report_on_an_empty_chain(empty_chain, tmp_path, capsys, fmt):
                 for row in EXPECTED_LDJSON[report]
             ]
             assert out == "".join(json.dumps(row) + "\n" for row in rows), report
+
+
+@pytest.mark.parametrize("interval", [["--created-to", "-1"], ["--created-from", "2"]])
+def test_an_explicit_empty_interval_on_an_empty_chain_exits_1(empty_chain, capsys, interval):
+    assert main(["stats", "lifespan", empty_chain, *interval]) == 1
+    assert capsys.readouterr().err.startswith("error: empty creation interval")
+
+
+def test_an_explicit_empty_interval_on_a_chain_exits_1(tmp_path, capsys):
+    path = str(tmp_path / "chain.dat")
+    assert main(["genchain", path, "--blocks", "5"]) == 0
+    capsys.readouterr()
+    assert main(["stats", "lifespan", path, "--created-from", "3", "--created-to", "2"]) == 1
+    assert capsys.readouterr().err == "error: empty creation interval [3, 2]\n"

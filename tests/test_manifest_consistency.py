@@ -2,10 +2,12 @@
 
 A manifest re-stamped with a fresh checksum passes every digest, so its
 flags, ``keep_from`` and ``prune_threshold`` must agree with each other
-and with the spine and body records, and each flag must read ``0`` or
-``1``.  Each probe below passed ``verify`` before these checks; now it
-exits 1 without a traceback, while every golden store and an empty
-pruned chain still pass.
+and with the spine and body records, and each value must read back in
+the form the writer writes: a flag ``0`` or ``1``, a number without a
+sign, space, underscore or leading zero, the magic in lowercase hex.
+Each probe below passed ``verify`` before these checks; now it exits 1
+without a traceback, while every golden store and an empty pruned chain
+still pass.
 """
 
 import hashlib
@@ -133,6 +135,29 @@ def test_malformed_flag_or_threshold_is_rejected(chain, tmp_path, key, text):
     _restamp(path, key, text)
     with pytest.raises(StoreError, match="manifest has a malformed value"):
         read_store(path)
+
+
+@pytest.mark.parametrize(
+    "key, text, written",
+    [
+        ("tip", "+19", "19"),
+        ("tip", " 19", "19"),
+        ("tip", "1_9", "19"),
+        ("keep_from", "014", "14"),
+        ("magic", "0xf9beb4d9", "f9beb4d9"),
+        ("magic", "F9BEB4D9", "f9beb4d9"),
+    ],
+)
+def test_a_value_is_read_only_in_its_written_form(chain, tmp_path, capsys, key, text, written):
+    # each text reads as the value the writer wrote, in another form
+    path = _store(chain, tmp_path, StrategyConfig(prune=PRUNE))
+    _restamp(path, key, text)
+    (failure,) = integrity_check(path).failures
+    assert (failure.name, failure.detail) == (
+        "manifest",
+        f"manifest has a malformed value: {key} {text!r} is not its written form {written!r}",
+    )
+    _verify_exits_1(path, capsys)
 
 
 @pytest.mark.parametrize("text, threshold", [("-1", None), ("0", 0), ("5", 5)])
