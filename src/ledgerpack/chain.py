@@ -12,13 +12,12 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 
 from .errors import ContinuityError, UnknownInputError
-from .wire import COINBASE_PREVOUT_HASH, COINBASE_PREVOUT_INDEX, OP_RETURN, Block, OutPoint, hash_hex, txid
+from .wire import COINBASE_PREVOUT_HASH, COINBASE_PREVOUT_INDEX, Block, OutPoint, hash_hex, txid
 
 # The per-block and per-output records are named tuples: hashing,
 # equality and construction run in C, and there are many of them.
 SpineEntry = namedtuple("SpineEntry", ["height", "block_hash", "prev_hash"])
 
-_OP_RETURN_BYTE = bytes([OP_RETURN])
 _tuple_new = tuple.__new__  # builds a record from a tuple of its fields, skipping __new__'s frame
 
 
@@ -61,13 +60,11 @@ def connect_block(
     utxos: dict[OutPoint, UtxoEntry],
     block: Block,
     height: int,
-    exclude_unspendable: bool = False,
 ) -> list[SpentRecord]:
     """Apply one block to the index and UTXO set; returns its SpentRecords.
 
-    ``exclude_unspendable`` drops provably unspendable outputs (leading
-    OP_RETURN byte) from the UTXO set.  They still exist on the wire and
-    in byte accounting; this only affects set membership.
+    Every output enters the UTXO set, provably unspendable ones (a
+    leading OP_RETURN byte) included.
     """
     if height != len(index.spine):
         raise ContinuityError(
@@ -103,8 +100,6 @@ def connect_block(
         height_txids.append(t)
 
         for out_index, txout in enumerate(tx.outputs):
-            if exclude_unspendable and txout.script[:1] == _OP_RETURN_BYTE:
-                continue
             outpoint = _tuple_new(OutPoint, (t, out_index))
             utxos[outpoint] = _tuple_new(UtxoEntry, (outpoint, txout.value, txout.script, height))
 
@@ -120,13 +115,13 @@ class ChainState:
     spent_log: list[SpentRecord]
 
 
-def build_chain(blocks, exclude_unspendable: bool = False) -> ChainState:
+def build_chain(blocks) -> ChainState:
     """Fold :func:`connect_block` over a height-ordered block iterable."""
     index = ChainIndex()
     utxos: dict[OutPoint, UtxoEntry] = {}
     spent_log: list[SpentRecord] = []
     for height, block in enumerate(blocks):
-        spent_log.extend(connect_block(index, utxos, block, height, exclude_unspendable))
+        spent_log.extend(connect_block(index, utxos, block, height))
     return ChainState(index, utxos, spent_log)
 
 

@@ -215,7 +215,7 @@ def cmd_stats(args) -> int:
         {
             "row": "blocks_with_utxo",
             "height_lo": 0,
-            "height_hi": max(stats.n_blocks - 1, 0),
+            "height_hi": stats.n_blocks - 1,  # -1 on a chain of no blocks, as parse's tip_height
             "utxos": stats.blocks_with_utxo,
         }
     )

@@ -45,8 +45,8 @@ from .strategies import (
     script_ref,
     serialize_copath,
     serialize_kept,
+    slack_decode_tx,
     slack_record,
-    slack_restore_tx,
     verify_leaf_in_minimized,
 )
 from .wire import (
@@ -665,7 +665,7 @@ def decode_store_content(view: StoreView) -> StoreContent:
             txs = []
             wire_txs = []
             for i in range(n_tx.value):
-                tx, consumed = slack_restore_tx(rec.payload, resolve, offset, codec)
+                tx, consumed = slack_decode_tx(rec.payload, resolve, offset, codec)
                 offset += consumed
                 wire_txs.append(restore(rec.height, i, tx))
                 txs.append(tx)
@@ -695,7 +695,7 @@ def decode_store_content(view: StoreView) -> StoreContent:
                 raise DecodeError(f"minimized record at height {rec.height} keeps no transaction")
             for i, (pos, stored) in enumerate(mb.kept):
                 if tx_mode == 1:
-                    tx, consumed = slack_restore_tx(stored, resolve, 0, codec)
+                    tx, consumed = slack_decode_tx(stored, resolve, 0, codec)
                 else:
                     tx, consumed = decode_transaction(stored, 0, codec)
                 if consumed != len(stored):

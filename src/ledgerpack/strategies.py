@@ -13,7 +13,11 @@ Three independent levers plus an optional script dedup:
 - Script dedup moves repeated scripts into a key-value store behind
   8-byte hash references.
 
-Everything here is pure; file layout lives in `store`.
+Everything here is pure; file layout lives in `store`.  The store runs
+``copath_nodes``, ``serialize_kept``/``serialize_copath``,
+``slack_record`` and the one slack decoder, ``slack_decode_tx``.
+``minimize_block``, ``verify_tx_in_minimized``, ``slack_encode`` and
+``slack_decode`` are library views over those same paths.
 """
 
 from __future__ import annotations
@@ -48,10 +52,11 @@ from .wire import (
     decode_varint,
     decode_witness_stacks,
     dsha256,
-    encode_block,
     encode_transaction,
     encode_varint,
+    encode_with_txid,
     encode_with_witness_at,
+    join_block,
     merkle_levels,
     txid,
 )
@@ -265,7 +270,8 @@ def minimize_block(block: Block, unspent: list, raw_block_bytes: bytes | None = 
 
     Picks "copath" only when its exact serialized payload is smaller
     than the raw block; a block with no flagged txs keeps nothing but
-    its spine hash.
+    its spine hash.  Each tx is serialized once, for its kept bytes, its
+    txid and, without ``raw_block_bytes``, the raw block.
     """
     txs = block.transactions
     if len(unspent) != len(txs):
@@ -275,16 +281,15 @@ def minimize_block(block: Block, unspent: list, raw_block_bytes: bytes | None = 
     block_hash = block.block_hash()
     root = block.header.merkle_root
     n = len(txs)
-    if raw_block_bytes is None:
-        raw_block_bytes = encode_block(block)
-
     positions = [i for i, keep in enumerate(unspent) if keep]
     if not positions:
         return MinimizedBlock(block_hash, root, "hash_only", n, retained_bytes=32)
 
-    nodes = copath_nodes([txid(t) for t in txs], positions)
-    kept = [(pos, encode_transaction(txs[pos])) for pos in positions]
-    mb = MinimizedBlock(block_hash, root, "copath", n, kept, nodes)
+    raws, ids = zip(*map(encode_with_txid, txs))
+    if raw_block_bytes is None:
+        raw_block_bytes = join_block(block, raws)
+    kept = [(pos, raws[pos]) for pos in positions]
+    mb = MinimizedBlock(block_hash, root, "copath", n, kept, copath_nodes(ids, positions))
     payload = serialize_minimized(mb)
     if len(payload) < len(raw_block_bytes):
         mb.retained_bytes = len(payload)
@@ -298,20 +303,14 @@ def verify_tx_in_minimized(mb: MinimizedBlock, tx_position: int) -> bool:
     """Recompute the Merkle root from one kept tx and the stored nodes."""
     if mb.mode != "copath":
         raise StrategyError(f"verification needs copath mode, block is {mb.mode!r}")
-    raw = None
-    for pos, tx_bytes in mb.kept:
-        if pos == tx_position:
-            raw = tx_bytes
-            break
+    raw = dict(mb.kept).get(tx_position)
     if raw is None:
         raise StrategyError(f"transaction position {tx_position} is not kept in this block")
     try:
         tx, used = decode_transaction(raw)
-        if used != len(raw):
-            return False
     except DecodeError:
         return False
-    return verify_leaf_in_minimized(mb, tx_position, txid(tx))
+    return used == len(raw) and verify_leaf_in_minimized(mb, tx_position, txid(tx))
 
 
 def verify_leaf_in_minimized(mb: MinimizedBlock, position: int, leaf: bytes) -> bool:
@@ -432,8 +431,8 @@ def _as_locate(locator):
 
 
 def _as_resolve(resolver):
-    """Accept a ChainIndex, a dict keyed by (height, index), or a callable."""
-    if callable(resolver) and not hasattr(resolver, "txid_at"):
+    """Accept a callable (height, index) -> txid, a ChainIndex, or a dict."""
+    if callable(resolver):
         return resolver
     if hasattr(resolver, "txid_at"):
         return resolver.txid_at
@@ -447,7 +446,7 @@ def _as_resolve(resolver):
 # SlackStats and errors must be the ones the field-by-field codec gives:
 # tests/test_slack_reference.py compares the two over seeded corpora,
 # truncations and byte flips, and tests/test_slack_restore.py checks the
-# wire bytes the reader rebuilds.
+# wire bytes the decoder rebuilds.
 
 _TAG_PASSTHROUGH_BYTE = bytes((_TAG_PASSTHROUGH,))
 _TAG_COMPACT_BYTE = bytes((_TAG_COMPACT,))
@@ -590,7 +589,7 @@ def slack_encode(tx: Transaction, locator=None, stats: SlackStats | None = None,
 
 def slack_decode(data: bytes, resolver=None, offset: int = 0, codec=IDENTITY_CODEC) -> tuple[bytes, int]:
     """Inverse of :func:`slack_encode`: (original transaction bytes, bytes consumed)."""
-    tx, used = slack_restore_tx(data, resolver, offset, codec)
+    tx, used = slack_decode_tx(data, resolver, offset, codec)
     return encode_transaction(tx), used
 
 
@@ -599,27 +598,14 @@ def slack_decode_tx(data: bytes, resolver=None, offset: int = 0, codec=IDENTITY_
 
     ``resolver`` maps (height, tx_index) back to a txid; an unresolvable
     position means the record is unreadable (store corruption or a
-    locator that does not cover the reference).  A compact record's
-    transaction has no source bytes: it is encoded from its fields.
+    locator that does not cover the reference).  Through the identity
+    codec a compact record's transaction keeps the wire bytes rebuilt
+    while decoding as its ``source``, as :func:`decode_transaction` keeps
+    the bytes it read, so encoding it and its txid slice them.  A
+    transaction whose fields cannot be encoded (no inputs or outputs, a
+    prevout index or an output value out of range) keeps none, so
+    encoding it raises as for a built one.
     """
-    return _slack_decode(data, resolver, offset, codec, False)
-
-
-def slack_restore_tx(data: bytes, resolver=None, offset: int = 0, codec=IDENTITY_CODEC) -> tuple[Transaction, int]:
-    """:func:`slack_decode_tx` for a reader that needs the wire bytes too.
-
-    Through the identity codec a compact record's transaction keeps the
-    wire bytes rebuilt while decoding as its ``source``, as
-    :func:`decode_transaction` keeps the bytes it read, so encoding it
-    and its txid slice them.  A transaction whose fields cannot be
-    encoded (no inputs or outputs, a prevout index or an output value out
-    of range) keeps none, so encoding it raises as for a built one.
-    """
-    return _slack_decode(data, resolver, offset, codec, True)
-
-
-def _slack_decode(data, resolver, offset: int, codec, keep_source: bool) -> tuple[Transaction, int]:
-    """The decoder of both: ``keep_source`` keeps the rebuilt wire bytes."""
     if type(data) is not bytes:
         data = bytes(data)
     end = len(data)
@@ -783,7 +769,7 @@ def _slack_decode(data, resolver, offset: int, codec, keep_source: bool) -> tupl
     tx = Transaction(
         version, inputs, outputs, lock_time, has_witness, witnesses, n_in_width, n_out_width
     )
-    if keep_source and identity and encodable:
+    if identity and encodable:
         append(_U32.pack(lock_time))
         tx.source = b"".join(wire)
         tx.witness_at = witness_at

@@ -37,7 +37,6 @@ MAINNET_MAGIC = 0xF9BEB4D9
 MAX_MONEY = 21_000_000 * 100_000_000
 COINBASE_PREVOUT_HASH = bytes(32)
 COINBASE_PREVOUT_INDEX = 0xFFFFFFFF
-OP_RETURN = 0x6A
 # mainnet height of the first segwit block, the default epoch split of reports
 SEGWIT_BOUNDARY = 481_824
 
@@ -209,7 +208,7 @@ class Transaction:
     input_count_width: int = 0
     output_count_width: int = 0
     # Set only by decoding through the identity codec: the wire bytes the
-    # tx was read from (or, by strategies.slack_restore_tx, rebuilt from a
+    # tx was read from (or, by strategies.slack_decode_tx, rebuilt from a
     # compact record), and the offset of its witness within them (0 when
     # it has none).  Built txs and dataclasses.replace copies have none.
     source: bytes | None = field(default=None, init=False, repr=False, compare=False)

@@ -125,11 +125,10 @@ def test_fold_equivalence():
     assert [e.block_hash for e in index.spine] == [e.block_hash for e in state.index.spine]
 
 
-def test_exclude_unspendable_switch():
+def test_op_return_outputs_stay_in_the_utxo_set():
     cb0 = coinbase_tx(0, out_scripts=[b"\x51", b"\x6a\x01\x02", b"\x6a"])
     blocks = build_blocks([[cb0]])
     assert len(build_chain(blocks).utxos) == 3
-    assert len(build_chain(blocks, exclude_unspendable=True).utxos) == 1
 
 
 def test_duplicate_txid_last_writer_wins():

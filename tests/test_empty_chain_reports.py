@@ -62,7 +62,7 @@ EXPECTED_CSV = {
         "input,0,0,0,0,0.00,0\n"
         "output,0,0,0,0,0.00,0\n"
     ),
-    "stats dormancy": "row,height_lo,height_hi,utxos\nblocks_with_utxo,0,0,0\n",
+    "stats dormancy": "row,height_lo,height_hi,utxos\nblocks_with_utxo,0,-1,0\n",
     "estimate": (
         "strategy,bytes,reduction_percent\n"
         "baseline,0,0.00\n"
@@ -140,7 +140,7 @@ EXPECTED_LDJSON = {
         }
         for side in ("input", "output")
     ],
-    "stats dormancy": [{"row": "blocks_with_utxo", "height_lo": 0, "height_hi": 0, "utxos": 0}],
+    "stats dormancy": [{"row": "blocks_with_utxo", "height_lo": 0, "height_hi": -1, "utxos": 0}],
     "estimate": [
         {"strategy": strategy, "bytes": 0, "reduction_percent": 0.0}
         for strategy in ("baseline", "prune", "minimize", "slack", "dedup", "prune+minimize+slack+dedup")

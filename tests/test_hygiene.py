@@ -1,12 +1,14 @@
-"""Source hygiene: no import, private name or parameter in ``ledgerpack``
-goes unused.
+"""Source hygiene: no import, name or parameter in ``ledgerpack`` goes
+unused.
 
 Every module-level import must be used in its module, every import
 inside a function must be used in that function, every module-level
 private (``_name``) function or class must be referenced there, and
 every parameter of a function must be read in its body (a method's
 ``self`` or ``cls`` excepted).  ``__init__.py`` is exempt: its imports
-are the package's re-exports.
+are the package's re-exports.  Every public module-level function,
+class or alias must be loaded somewhere in the package, or be named in
+``LIBRARY_API``.
 """
 
 import ast
@@ -16,6 +18,22 @@ import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "ledgerpack"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+# Public names that nothing in the package calls, kept on purpose as
+# library API: the tests and the benchmark call them.  The set is exact.
+LIBRARY_API = {
+    "composition_for_block",  # analytics
+    "locate_tx",  # chain
+    "gen_tx_corpus",  # fixture
+    "encode_stored_tx",  # strategies
+    "decode_stored_tx",
+    "minimize_block",
+    "slack_decode",
+    "slack_encode",
+    "verify_tx_in_minimized",
+    "encode_block",  # wire
+    "encode_transaction_legacy",
+}
 
 
 def _tree(path):
@@ -114,3 +132,29 @@ def test_every_parameter_is_read(path):
         if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
             unread += [f"{fn.name}({name})" for name in _unread_parameters(fn)]
     assert not unread, f"{path.name} has function parameters their bodies never read: {unread}"
+
+
+def _public_defs(tree) -> list:
+    """Module-level functions, classes and aliases (``name = other``)."""
+    names = []
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(stmt.name)
+        elif isinstance(stmt, ast.Assign) and isinstance(stmt.value, (ast.Name, ast.Attribute)):
+            names += [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+    return [name for name in names if not name.startswith("_")]
+
+
+def _loaded_names(tree) -> set:
+    """Names read in a module, and names it imports from another module."""
+    imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names}
+    return _read_names(tree) | imported
+
+
+def test_every_public_name_has_a_caller_or_is_library_api():
+    defined = {name for path in MODULES for name in _public_defs(_tree(path))}
+    loaded = set().union(*(_loaded_names(_tree(path)) for path in SRC.glob("*.py")))
+    uncalled = defined - loaded
+    assert not uncalled - LIBRARY_API, f"public names nothing in ledgerpack loads: {sorted(uncalled - LIBRARY_API)}"
+    stale = LIBRARY_API - uncalled
+    assert not stale, f"LIBRARY_API names that are gone or now have a caller in ledgerpack: {sorted(stale)}"

@@ -1,4 +1,4 @@
-"""``slack_restore_tx``: the slack decoder that keeps a compact tx's wire bytes.
+"""``slack_decode_tx`` keeps a compact tx's wire bytes.
 
 The store's reader restores compact records through it, so each
 transaction's wire bytes and txid are sliced from the bytes rebuilt
@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from ledgerpack.strategies import slack_decode, slack_decode_tx, slack_encode, slack_restore_tx
+from ledgerpack.strategies import slack_decode, slack_decode_tx, slack_encode
 from ledgerpack.wire import IDENTITY_CODEC, decode_transaction, encode_transaction
 from test_slack_reference import (  # noqa: F401  (module fixtures)
     _compare_decode,
@@ -35,8 +35,8 @@ def test_restore_matches_reference_at_every_truncation(corpus, locators):
     for record in records[1::2]:
         framed = b"\x5a\xa5" + record
         for cut in range(len(framed) + 1):
-            seen[_compare_decode(framed[:cut], 2, resolver, IDENTITY_CODEC, slack_restore_tx)] += 1
-        seen[_compare_decode(framed + b"\x00", 2, resolver, IDENTITY_CODEC, slack_restore_tx)] += 1
+            seen[_compare_decode(framed[:cut], 2, resolver, IDENTITY_CODEC, slack_decode_tx)] += 1
+        seen[_compare_decode(framed + b"\x00", 2, resolver, IDENTITY_CODEC, slack_decode_tx)] += 1
     assert seen["ok"] >= len(records) // 2 and seen["error"] > seen["ok"], seen
 
 
@@ -51,7 +51,7 @@ def test_restore_matches_reference_under_byte_flips(corpus, locators, name):
             data = bytearray(record)
             for _ in range(rng.randint(1, 3)):
                 data[rng.randrange(len(data))] ^= rng.randrange(1, 256)
-            seen[_compare_decode(bytes(data), 0, resolver, IDENTITY_CODEC, slack_restore_tx)] += 1
+            seen[_compare_decode(bytes(data), 0, resolver, IDENTITY_CODEC, slack_decode_tx)] += 1
     assert seen["ok"] and seen["error"], seen
 
 
@@ -62,16 +62,11 @@ def test_only_restored_compact_txs_keep_wire_bytes(corpus, locators, ref_codec):
     for tx in corpus:
         record = slack_encode(tx, locator)
         decoded, _ = slack_decode_tx(record, table)
-        kept, _ = slack_restore_tx(record, table)
-        if record[0] == 0x01:
-            assert decoded.source is None
-            assert kept.source == encode_transaction(tx)
-            assert kept.witness_at == decode_transaction(kept.source)[0].witness_at
-            restored += 1
-        else:
-            assert decoded.source == kept.source == encode_transaction(tx)
+        assert decoded.source == encode_transaction(tx)
+        assert decoded.witness_at == decode_transaction(decoded.source)[0].witness_at
+        restored += record[0] == 0x01
         assert slack_decode(record, table) == (encode_transaction(tx), len(record))
         # scripts read through another codec give no wire bytes to keep
-        other, _ = slack_restore_tx(slack_encode(tx, locator, None, ref_codec), table, 0, ref_codec)
+        other, _ = slack_decode_tx(slack_encode(tx, locator, None, ref_codec), table, 0, ref_codec)
         assert other.source is None
     assert restored

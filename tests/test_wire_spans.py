@@ -97,14 +97,14 @@ def test_ref_codec_decode_has_no_span(corpus):
         assert encode_transaction(tx, codec) == stored
 
 
-def test_slack_compact_records_have_no_span(corpus):
+def test_slack_compact_records_keep_their_wire_bytes(corpus):
     for built in corpus.transactions:
         raw = encode_transaction(built)
         record = slack_encode(built, corpus.locator)
         assert record[0] == 0x01
         tx, used = slack_decode_tx(record, corpus.resolve)
         assert used == len(record)
-        assert tx.source is None
+        assert tx.source == raw
         assert encode_transaction(tx) == raw
         # a passthrough record's payload is the wire form itself
         tx, used = slack_decode_tx(b"\x00" + raw)
