@@ -183,7 +183,7 @@ def composition_for_block(block: Block) -> CompositionBreakdown:
 
 
 def composition_breakdown(
-    blocks, segwit_boundary: int = SEGWIT_BOUNDARY, start_height: int = 0
+    blocks, segwit_boundary: int = SEGWIT_BOUNDARY
 ) -> tuple[CompositionBreakdown, CompositionBreakdown]:
     """(pre, post) bucket totals split at the boundary height.
 
@@ -192,7 +192,7 @@ def composition_breakdown(
     pre = CompositionBreakdown()
     post = CompositionBreakdown()
     for i, block in enumerate(blocks):
-        _add_block(block, pre if start_height + i < segwit_boundary else post)
+        _add_block(block, pre if i < segwit_boundary else post)
     return pre, post
 
 

@@ -64,7 +64,6 @@ class ChainPlan:
     dormant_fraction: float = 0.25
     script_len: tuple[int, int] = (20, 40)
     segwit_fraction: float = 0.3
-    segwit_from: int = 0
     dup_rate: float = 0.2
     noncanonical_rate: float = 0.0
     version_other_rate: float = 0.05
@@ -223,8 +222,8 @@ def gen_chain(plan: ChainPlan) -> tuple[bytes, GroundTruth]:
         for txout in tx.outputs:
             gt.output_scripts[txout.script] += 1
 
-    def witness_for(inputs: list, height: int) -> list:
-        if height < plan.segwit_from or rng.random() >= plan.segwit_fraction:
+    def witness_for(inputs: list) -> list:
+        if rng.random() >= plan.segwit_fraction:
             return []
         stacks = []
         for _ in inputs:
@@ -263,7 +262,7 @@ def gen_chain(plan: ChainPlan) -> tuple[bytes, GroundTruth]:
             for _ in range(rng.randint(*plan.outs_per_tx)):
                 s = _script(plan, rng, out_pool)
                 outputs.append(TxOut(_value(plan, rng), s, script_len_width=_maybe_wide(len(s), rate, rng)))
-            stacks = witness_for(inputs, height)
+            stacks = witness_for(inputs)
             lock_time = 0
             if rng.random() < plan.nonzero_locktime_rate:
                 lock_time = rng.randrange(1, 500_000)

@@ -54,7 +54,6 @@ from .wire import (
     MAINNET_MAGIC,
     Block,
     BlockHeader,
-    VarInt,
     decode_block,
     decode_header,
     decode_transaction,
@@ -313,7 +312,7 @@ def _candidates(block: Block, height: int, kept, copath, index, readable: dict, 
         witness_at.append(at)
     yield KIND_RAW, join_block(block, stored), None, every
     if config.slack:
-        count = encode_varint(VarInt(len(txs), block.tx_count_width))
+        count = encode_varint(len(txs), block.tx_count_width)
         records, tally, kept_records, kept_tally = _slack_records(
             txs, stored, witness_at, height, readable, index.locator, codec, decoded
         )
@@ -549,14 +548,14 @@ def _parse_bodies(data: bytes) -> list:
             raise TruncationError(
                 f"body record {index} framing cut short: {exc}", offset=offset
             ) from exc
-        if at + length.value > len(data):
+        if at + length > len(data):
             raise TruncationError(
-                f"body record {index} claims {length.value} payload byte(s), file has "
+                f"body record {index} claims {length} payload byte(s), file has "
                 f"{len(data) - at} left",
                 offset=offset,
             )
-        bodies.append(BodyRecord(height.value, kind, bytes(data[at : at + length.value])))
-        offset = at + length.value
+        bodies.append(BodyRecord(height, kind, bytes(data[at : at + length])))
+        offset = at + length
     return bodies
 
 
@@ -570,10 +569,10 @@ def _parse_kvs(data: bytes) -> dict:
         ref = bytes(data[offset : offset + REF_LEN])
         length, used = decode_varint(data, offset + REF_LEN)
         at = offset + REF_LEN + used
-        if at + length.value > len(data):
+        if at + length > len(data):
             raise TruncationError(f"KVS record {index} script cut short", offset=offset)
-        kvs[ref] = bytes(data[at : at + length.value])
-        offset = at + length.value
+        kvs[ref] = bytes(data[at : at + length])
+        offset = at + length
     return kvs
 
 
@@ -659,12 +658,13 @@ def decode_store_content(view: StoreView) -> StoreContent:
             content.block_bytes[rec.height] = raw
         elif rec.kind == KIND_COMPACT:
             header = spine_header(rec)
-            n_tx, offset = decode_varint(rec.payload, 0)
-            if n_tx.value == 0:
+            n_tx, tx_count_width = decode_varint(rec.payload, 0)
+            if n_tx == 0:
                 raise DecodeError(f"compact record at height {rec.height} has zero transactions")
+            offset = tx_count_width
             txs = []
             wire_txs = []
-            for i in range(n_tx.value):
+            for i in range(n_tx):
                 tx, consumed = slack_decode_tx(rec.payload, resolve, offset, codec)
                 offset += consumed
                 wire_txs.append(restore(rec.height, i, tx))
@@ -674,7 +674,7 @@ def decode_store_content(view: StoreView) -> StoreContent:
                     f"{len(rec.payload) - offset} stray byte(s) in compact record at height "
                     f"{rec.height}"
                 )
-            block = Block(header, txs, tx_count_width=n_tx.width)
+            block = Block(header, txs, tx_count_width=tx_count_width)
             raw = join_block(block, wire_txs)
             block.raw_size_bytes = len(raw)
             content.blocks[rec.height] = block

@@ -43,11 +43,8 @@ from .wire import (
     Transaction,
     TxIn,
     TxOut,
-    VarInt,
     _truncated,
     _tuple_new,
-    _varint_bytes,
-    _wide_varint,
     decode_transaction,
     decode_varint,
     decode_witness_stacks,
@@ -225,9 +222,9 @@ def deserialize_minimized(payload: bytes, block_hash: bytes, merkle_root: bytes)
 
     def take_varint():
         nonlocal offset
-        v, used = decode_varint(payload, offset)
+        value, used = decode_varint(payload, offset)
         offset += used
-        return v.value
+        return value
 
     n_leaves = take_varint()
     k = take_varint()
@@ -333,7 +330,6 @@ _TOKEN_INLINE = 0
 _TOKEN_REF_WIDTHS = {1: 0, 2: 3, 3: 5, 4: 9}  # token -> stored varint width (0 = canonical)
 _WIDTH_TOKENS = {0: 1, 1: 1, 3: 2, 5: 3, 9: 4}
 _WIDTH_TAGS = {width: bytes((token,)) for width, token in _WIDTH_TOKENS.items()}
-_INLINE_ONE_BYTE = [bytes((_TOKEN_INLINE, n)) for n in range(0xFD)]
 
 
 def script_ref(script: bytes) -> bytes:
@@ -357,9 +353,6 @@ class RefScriptCodec:
         ref = self._refs.get(script)
         if ref is not None:
             return _WIDTH_TAGS[width] + ref
-        n = len(script)
-        if n < 0xFD and width <= 1:  # one-byte length: no VarInt object needed
-            return _INLINE_ONE_BYTE[n] + script
         return b"\x00" + IDENTITY_CODEC.encode(script, width)
 
     def decode(self, data: bytes, offset: int) -> tuple[bytes, int, int]:
@@ -485,8 +478,8 @@ def slack_record(tx: Transaction, stored: bytes, witness_at: int, locate, codec=
     version_common = version in COMMON_VERSIONS
     parts = [
         _TAG_COMPACT_BYTE,
-        _varint_bytes(n_in, tx.input_count_width),
-        _varint_bytes(len(outputs), tx.output_count_width),
+        encode_varint(n_in, tx.input_count_width),
+        encode_varint(len(outputs), tx.output_count_width),
         None,  # the bitmap, once the inputs have set their bits
     ]
     if not version_common:
@@ -529,7 +522,7 @@ def slack_record(tx: Transaction, stored: bytes, witness_at: int, locate, codec=
         if identity:
             n = len(script)
             width = txin.script_len_width
-            append(_ONE_BYTE[n] if n < 0xFD and width <= 1 else encode_varint(VarInt(n, width)))
+            append(_ONE_BYTE[n] if n < 0xFD and width <= 1 else encode_varint(n, width))
             append(script)
         else:
             append(codec.encode(script, txin.script_len_width))
@@ -555,7 +548,7 @@ def slack_record(tx: Transaction, stored: bytes, witness_at: int, locate, codec=
         if identity:
             n = len(script)
             width = txout.script_len_width
-            append(_ONE_BYTE[n] if n < 0xFD and width <= 1 else encode_varint(VarInt(n, width)))
+            append(_ONE_BYTE[n] if n < 0xFD and width <= 1 else encode_varint(n, width))
             append(script)
         else:
             append(codec.encode(script, txout.script_len_width))
@@ -626,12 +619,12 @@ def slack_decode_tx(data: bytes, resolver=None, offset: int = 0, codec=IDENTITY_
     if offset < end and (n_in := data[offset]) < 0xFD:
         n_in_width = 1
     else:
-        n_in, n_in_width = _wide_varint(data, offset)
+        n_in, n_in_width = decode_varint(data, offset)
     offset += n_in_width
     if offset < end and (n_out := data[offset]) < 0xFD:
         n_out_width = 1
     else:
-        n_out, n_out_width = _wide_varint(data, offset)
+        n_out, n_out_width = decode_varint(data, offset)
     offset += n_out_width
     bitmap_len = (4 + 3 * n_in + 7) // 8
     if offset + bitmap_len > end:
@@ -674,7 +667,7 @@ def slack_decode_tx(data: bytes, resolver=None, offset: int = 0, codec=IDENTITY_
             if offset < end and (out_index := data[offset]) < 0xFD:
                 offset += 1
             else:
-                out_index, used = _wide_varint(data, offset)
+                out_index, used = decode_varint(data, offset)
                 offset += used
             if resolve is None:
                 raise DecodeError(
@@ -705,7 +698,7 @@ def slack_decode_tx(data: bytes, resolver=None, offset: int = 0, codec=IDENTITY_
             if offset < end and (n := data[offset]) < 0xFD:
                 width = 1
             else:
-                n, width = _wide_varint(data, offset)
+                n, width = decode_varint(data, offset)
             offset += width
             if offset + n > end:
                 raise _truncated(data, offset, n, "script")
@@ -736,7 +729,7 @@ def slack_decode_tx(data: bytes, resolver=None, offset: int = 0, codec=IDENTITY_
             value = _U16.unpack_from(data, offset + 1)[0]
             offset += 3
         else:
-            value, used = _wide_varint(data, offset)
+            value, used = decode_varint(data, offset)
             offset += used
         if value > MAX_MONEY:
             encodable = False
@@ -745,7 +738,7 @@ def slack_decode_tx(data: bytes, resolver=None, offset: int = 0, codec=IDENTITY_
             if offset < end and (n := data[offset]) < 0xFD:
                 width = 1
             else:
-                n, width = _wide_varint(data, offset)
+                n, width = decode_varint(data, offset)
             offset += width
             if offset + n > end:
                 raise _truncated(data, offset, n, "script")
@@ -795,7 +788,6 @@ class DedupPlan:
     candidate_scripts: int = 0
     rewritten_scripts: int = 0
     occurrences_rewritten: int = 0
-    original_bytes: int = 0
     savings_bytes: int = 0
 
 
@@ -831,7 +823,6 @@ def dedup_scripts(counts_or_blocks) -> DedupPlan:
         plan.rewrite.add(script)
         plan.rewritten_scripts += 1
         plan.occurrences_rewritten += occ
-        plan.original_bytes += len(script) * occ
         plan.savings_bytes += saving
     return plan
 

@@ -5,6 +5,9 @@ patched over, because all downstream byte accounting assumes exact
 round-trips.  Non-canonical compact-size integers are legal on mainnet
 disk files, so decoded structures remember the width each varint was
 stored with and re-encode it unchanged (``encode(decode(b)) == b``).
+The varint codec takes and returns plain integers: :func:`decode_varint`
+gives ``(value, width)`` and ``encode_varint(value, width)`` writes it
+back, width 0 meaning the canonical (minimal) width.
 
 Hashes are kept in wire order (as serialized).  Use :func:`hash_hex`
 for the conventional reversed display form.
@@ -86,59 +89,37 @@ def varint_width(value: int) -> int:
     return 9
 
 
-@dataclass(frozen=True, slots=True)
-class VarInt:
-    """A compact-size integer together with the width it was stored with.
-
-    ``width`` 0 means "canonical": encode with the minimal width for the
-    value.  Decoders always record the actual width so that re-encoding
-    reproduces the original bytes even for non-canonical encodings.
-    """
-
-    value: int
-    width: int = 0
-
-    def encoded_width(self) -> int:
-        return self.width if self.width else varint_width(self.value)
-
-
-def decode_varint(data: bytes, offset: int = 0) -> tuple[VarInt, int]:
-    """Decode one compact-size integer; returns (VarInt, bytes consumed)."""
+def decode_varint(data: bytes, offset: int = 0) -> tuple[int, int]:
+    """Decode one compact-size integer; returns (value, width), the width
+    being the number of bytes it was stored in."""
     _need(data, offset, 1, "varint prefix")
     prefix = data[offset]
     if prefix < 0xFD:
-        return VarInt(prefix, 1), 1
+        return prefix, 1
     if prefix == 0xFD:
         _need(data, offset + 1, 2, "varint payload")
-        return VarInt(_U16.unpack_from(data, offset + 1)[0], 3), 3
+        return _U16.unpack_from(data, offset + 1)[0], 3
     if prefix == 0xFE:
         _need(data, offset + 1, 4, "varint payload")
-        return VarInt(_U32.unpack_from(data, offset + 1)[0], 5), 5
+        return _U32.unpack_from(data, offset + 1)[0], 5
     _need(data, offset + 1, 8, "varint payload")
-    return VarInt(_U64.unpack_from(data, offset + 1)[0], 9), 9
+    return _U64.unpack_from(data, offset + 1)[0], 9
 
 
 _ONE_BYTE = [bytes((i,)) for i in range(0xFD)]
 
 
-def _varint_bytes(value: int, width: int) -> bytes:
-    """``encode_varint(VarInt(value, width))`` of a count, with no VarInt
-    built when it takes one byte."""
-    return _ONE_BYTE[value] if value < 0xFD and width <= 1 else encode_varint(VarInt(value, width))
-
-
-def encode_varint(v: VarInt | int) -> bytes:
-    """Exact inverse of :func:`decode_varint`, including non-canonical widths."""
-    if type(v) is int and 0 <= v <= 0xFFFF:  # canonical widths 1 and 3 without a width lookup
-        return _ONE_BYTE[v] if v < 0xFD else b"\xfd" + _U16.pack(v)
-    if isinstance(v, int):
-        value, width = v, varint_width(v)
-    else:
-        value, width = v.value, v.encoded_width()
-    if width == 1:
-        if not 0 <= value < 0xFD:
-            raise EncodeError(f"value {value} does not fit a 1-byte varint")
+def encode_varint(value: int, width: int = 0) -> bytes:
+    """Exact inverse of :func:`decode_varint`: ``value`` in ``width`` bytes,
+    or in its canonical width when ``width`` is 0."""
+    if 0 <= width <= 1 and 0 <= value < 0xFD:
         return _ONE_BYTE[value]
+    if value < 0:
+        raise EncodeError(f"varint value must be unsigned, got {value}")
+    if not width:
+        width = varint_width(value)
+    if width == 1:
+        raise EncodeError(f"value {value} does not fit a 1-byte varint")
     if width == 3:
         if value > 0xFFFF:
             raise EncodeError(f"value {value} does not fit a 3-byte varint")
@@ -148,6 +129,8 @@ def encode_varint(v: VarInt | int) -> bytes:
             raise EncodeError(f"value {value} does not fit a 5-byte varint")
         return b"\xfe" + _U32.pack(value)
     if width == 9:
+        if value > 0xFFFFFFFFFFFFFFFF:
+            raise EncodeError(f"value {value} does not fit a 9-byte varint")
         return b"\xff" + _U64.pack(value)
     raise EncodeError(f"invalid varint width {width}")
 
@@ -228,21 +211,14 @@ class IdentityScriptCodec:
     """
 
     def encode(self, script: bytes, width: int) -> bytes:
-        n = len(script)
-        if n < 0xFD and width <= 1:  # one-byte length: no VarInt object needed
-            return bytes((n,)) + script
-        return encode_varint(VarInt(n, width)) + script
+        return encode_varint(len(script), width) + script
 
     def decode(self, data: bytes, offset: int) -> tuple[bytes, int, int]:
         """Returns (script, stored length-varint width, bytes consumed)."""
-        if offset < len(data) and data[offset] < 0xFD:  # one-byte length: no VarInt object needed
-            n, width, used = data[offset], 1, 1
-        else:
-            v, used = decode_varint(data, offset)
-            n, width = v.value, v.width
-        start = offset + used
+        n, width = decode_varint(data, offset)
+        start = offset + width
         _need(data, start, n, "script")
-        return bytes(data[start : start + n]), width, used + n
+        return bytes(data[start : start + n]), width, width + n
 
 
 IDENTITY_CODEC = IdentityScriptCodec()
@@ -254,7 +230,7 @@ def encode_witness_stacks(stacks: list, parts: list, codec) -> None:
     encode = codec.encode
     for stack in stacks:
         items = stack.items
-        append(_varint_bytes(len(items), stack.count_width))
+        append(encode_varint(len(items), stack.count_width))
         widths = stack.item_widths
         if widths:
             for i, item in enumerate(items):
@@ -275,12 +251,6 @@ _PREVOUT = struct.Struct("<32sI")
 _tuple_new = tuple.__new__  # builds an OutPoint from an unpacked (hash, index) pair
 
 
-def _wide_varint(data: bytes, offset: int) -> tuple[int, int]:
-    """(value, width) of a varint that is not one byte, or is cut off."""
-    v, used = decode_varint(data, offset)
-    return v.value, used
-
-
 def decode_witness_stacks(data: bytes, offset: int, n_inputs: int, codec) -> tuple[list, int]:
     """Decode one witness stack per input; returns (stacks, offset after them)."""
     if type(data) is not bytes:
@@ -292,7 +262,7 @@ def decode_witness_stacks(data: bytes, offset: int, n_inputs: int, codec) -> tup
         if offset < end and (n_items := data[offset]) < 0xFD:
             count_width = 1
         else:
-            n_items, count_width = _wide_varint(data, offset)
+            n_items, count_width = decode_varint(data, offset)
         offset += count_width
         items = []
         widths = []
@@ -301,7 +271,7 @@ def decode_witness_stacks(data: bytes, offset: int, n_inputs: int, codec) -> tup
                 if offset < end and (n := data[offset]) < 0xFD:
                     width = 1
                 else:
-                    n, width = _wide_varint(data, offset)
+                    n, width = decode_varint(data, offset)
                 offset += width
                 if offset + n > end:
                     raise _truncated(data, offset, n, "script")
@@ -352,7 +322,7 @@ def decode_transaction(data: bytes, offset: int = 0, codec=IDENTITY_CODEC) -> tu
     if offset < end and (n_in := data[offset]) < 0xFD:
         n_in_width = 1
     else:
-        n_in, n_in_width = _wide_varint(data, offset)
+        n_in, n_in_width = decode_varint(data, offset)
     offset += n_in_width
     if n_in == 0:
         raise DecodeError("transaction has zero inputs", offset=offset, field="input count")
@@ -367,7 +337,7 @@ def decode_transaction(data: bytes, offset: int = 0, codec=IDENTITY_CODEC) -> tu
             if offset < end and (n := data[offset]) < 0xFD:
                 width = 1
             else:
-                n, width = _wide_varint(data, offset)
+                n, width = decode_varint(data, offset)
             offset += width
             if offset + n > end:
                 raise _truncated(data, offset, n, "script")
@@ -384,7 +354,7 @@ def decode_transaction(data: bytes, offset: int = 0, codec=IDENTITY_CODEC) -> tu
     if offset < end and (n_out := data[offset]) < 0xFD:
         n_out_width = 1
     else:
-        n_out, n_out_width = _wide_varint(data, offset)
+        n_out, n_out_width = decode_varint(data, offset)
     offset += n_out_width
     if n_out == 0:
         raise DecodeError("transaction has zero outputs", offset=offset, field="output count")
@@ -403,7 +373,7 @@ def decode_transaction(data: bytes, offset: int = 0, codec=IDENTITY_CODEC) -> tu
             if offset < end and (n := data[offset]) < 0xFD:
                 width = 1
             else:
-                n, width = _wide_varint(data, offset)
+                n, width = decode_varint(data, offset)
             offset += width
             if offset + n > end:
                 raise _truncated(data, offset, n, "script")
@@ -456,14 +426,14 @@ def _check_tx_invariants(tx: Transaction) -> None:
 def _encode_tx_body(tx: Transaction, parts: list[bytes], codec) -> None:
     append = parts.append
     encode = codec.encode
-    append(_varint_bytes(len(tx.inputs), tx.input_count_width))
+    append(encode_varint(len(tx.inputs), tx.input_count_width))
     for txin in tx.inputs:
         tx_hash, index = txin.previous_output
         append(tx_hash)
         append(_U32.pack(index))
         append(encode(txin.script, txin.script_len_width))
         append(_U32.pack(txin.sequence))
-    append(_varint_bytes(len(tx.outputs), tx.output_count_width))
+    append(encode_varint(len(tx.outputs), tx.output_count_width))
     for txout in tx.outputs:
         append(_U64.pack(txout.value))
         append(encode(txout.script, txout.script_len_width))
@@ -608,12 +578,12 @@ def decode_block(data: bytes, codec=IDENTITY_CODEC) -> Block:
         data = bytes(data)
     header = decode_header(data, 0)
     offset = HEADER_SIZE
-    n_tx, used = decode_varint(data, offset)
-    offset += used
-    if n_tx.value == 0:
+    n_tx, tx_count_width = decode_varint(data, offset)
+    offset += tx_count_width
+    if n_tx == 0:
         raise DecodeError("block has zero transactions", offset=offset, field="tx count")
     txs = []
-    for _ in range(n_tx.value):
+    for _ in range(n_tx):
         tx, used = decode_transaction(data, offset, codec)
         txs.append(tx)
         offset += used
@@ -623,7 +593,7 @@ def decode_block(data: bytes, codec=IDENTITY_CODEC) -> Block:
             offset=offset,
             field="block body",
         )
-    return Block(header, txs, raw_size_bytes=len(data), tx_count_width=n_tx.width)
+    return Block(header, txs, raw_size_bytes=len(data), tx_count_width=tx_count_width)
 
 
 def encode_block(block: Block, codec=IDENTITY_CODEC) -> bytes:
@@ -633,7 +603,7 @@ def encode_block(block: Block, codec=IDENTITY_CODEC) -> bytes:
 
 def join_block(block: Block, tx_bytes: list) -> bytes:
     """A block's bytes from its header and its already serialized transactions."""
-    count = _varint_bytes(len(tx_bytes), block.tx_count_width)
+    count = encode_varint(len(tx_bytes), block.tx_count_width)
     return b"".join([block.header.encode(), count, *tx_bytes])
 
 

@@ -20,14 +20,13 @@ from ledgerpack.wire import (
     Transaction,
     TxIn,
     TxOut,
-    VarInt,
     decode_transaction,
-    decode_varint,
     decode_witness_stacks,
     encode_transaction,
-    encode_varint,
     encode_witness_stacks,
 )
+
+from reference_wire import VarInt, decode_varint, encode_varint
 
 _U16 = struct.Struct("<H")
 

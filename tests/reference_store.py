@@ -33,14 +33,13 @@ from ledgerpack.wire import (
     Block,
     BlockHeader,
     decode_header,
-    decode_varint,
     encode_with_txid,
     join_block,
     merkle_root,
 )
 
 from reference_slack import slack_decode_tx
-from reference_wire import decode_block, decode_transaction
+from reference_wire import decode_block, decode_transaction, decode_varint
 
 SPINE_FILE = "spine.bin"
 BODIES_FILE = "bodies.bin"

@@ -6,10 +6,19 @@ These are the straightforward decoders, one helper call per field, that
 equal results and raise the same errors (class, message, offset and
 field) on every input.  Do not edit these functions to follow changes in
 ``wire``; they are the fixed point the decoder is compared with.
+
+``VarInt``, ``decode_varint`` and ``encode_varint`` are the varint codec
+these references were written against, copied verbatim, so that
+``tests/reference_slack.py`` and ``tests/reference_store.py`` (which
+import it from here) do not read through the codec under test.
 """
 
-from ledgerpack.errors import DecodeError, TruncationError
+from dataclasses import dataclass
+
+from ledgerpack.errors import DecodeError, EncodeError, TruncationError
 from ledgerpack.wire import (
+    _ONE_BYTE,
+    _U16,
     _U32,
     _U64,
     HEADER_SIZE,
@@ -22,7 +31,7 @@ from ledgerpack.wire import (
     TxOut,
     WitnessStack,
     decode_header,
-    decode_varint,
+    varint_width,
 )
 
 
@@ -33,6 +42,63 @@ def _need(data: bytes, offset: int, count: int, field_name: str) -> None:
             offset=offset,
             field=field_name,
         )
+
+
+@dataclass(frozen=True, slots=True)
+class VarInt:
+    """A compact-size integer together with the width it was stored with.
+
+    ``width`` 0 means "canonical": encode with the minimal width for the
+    value.  Decoders always record the actual width so that re-encoding
+    reproduces the original bytes even for non-canonical encodings.
+    """
+
+    value: int
+    width: int = 0
+
+    def encoded_width(self) -> int:
+        return self.width if self.width else varint_width(self.value)
+
+
+def decode_varint(data: bytes, offset: int = 0) -> tuple[VarInt, int]:
+    """Decode one compact-size integer; returns (VarInt, bytes consumed)."""
+    _need(data, offset, 1, "varint prefix")
+    prefix = data[offset]
+    if prefix < 0xFD:
+        return VarInt(prefix, 1), 1
+    if prefix == 0xFD:
+        _need(data, offset + 1, 2, "varint payload")
+        return VarInt(_U16.unpack_from(data, offset + 1)[0], 3), 3
+    if prefix == 0xFE:
+        _need(data, offset + 1, 4, "varint payload")
+        return VarInt(_U32.unpack_from(data, offset + 1)[0], 5), 5
+    _need(data, offset + 1, 8, "varint payload")
+    return VarInt(_U64.unpack_from(data, offset + 1)[0], 9), 9
+
+
+def encode_varint(v: VarInt | int) -> bytes:
+    """Exact inverse of :func:`decode_varint`, including non-canonical widths."""
+    if type(v) is int and 0 <= v <= 0xFFFF:  # canonical widths 1 and 3 without a width lookup
+        return _ONE_BYTE[v] if v < 0xFD else b"\xfd" + _U16.pack(v)
+    if isinstance(v, int):
+        value, width = v, varint_width(v)
+    else:
+        value, width = v.value, v.encoded_width()
+    if width == 1:
+        if not 0 <= value < 0xFD:
+            raise EncodeError(f"value {value} does not fit a 1-byte varint")
+        return _ONE_BYTE[value]
+    if width == 3:
+        if value > 0xFFFF:
+            raise EncodeError(f"value {value} does not fit a 3-byte varint")
+        return b"\xfd" + _U16.pack(value)
+    if width == 5:
+        if value > 0xFFFFFFFF:
+            raise EncodeError(f"value {value} does not fit a 5-byte varint")
+        return b"\xfe" + _U32.pack(value)
+    if width == 9:
+        return b"\xff" + _U64.pack(value)
+    raise EncodeError(f"invalid varint width {width}")
 
 
 def decode_witness_stacks(data: bytes, offset: int, n_inputs: int, codec) -> tuple[list, int]:

@@ -216,8 +216,6 @@ def test_composition_split_heights():
     assert (pre.n_blocks, post.n_blocks) == (0, 5)
     assert pre.total_bytes == 0
     assert pre.fractions() == {b: 0.0 for b in pre.totals}
-    pre2, post2 = composition_breakdown(blocks[2:], segwit_boundary=3, start_height=2)
-    assert (pre2.n_blocks, post2.n_blocks) == (1, 2)
 
 
 def test_composition_merge_is_order_independent():

@@ -12,7 +12,11 @@ the same rows.  The stores are:
   and manifest byte flips, replaced manifest values) and the seeded body
   flips of ``tests/test_store_contract.py``;
 - the rewritten body framings of ``tests/test_verify_framing.py``, and
-  each body record with one junk byte appended to its payload.
+  each body record with one junk byte appended to its payload;
+- the re-stamped manifests, the store missing a body and the empty
+  pruned store of ``tests/test_manifest_consistency.py``;
+- the minimized records with bad kept positions of
+  ``tests/test_store_kept_positions.py``.
 
 No difference is expected.  A change that means the readers to differ
 lists each store it affects by name in ``INTENDED_DIFFERENCES``.
@@ -25,14 +29,18 @@ import random
 import pytest
 
 import reference_store as ref
-from ledgerpack import store
+from ledgerpack import cli, store
 from ledgerpack.chain import build_chain
 from ledgerpack.fixture import gen_chain
 from ledgerpack.store import BODIES_FILE, KVS_FILE, MANIFEST_FILE, SPINE_FILE, build_store_model, write_store
+from ledgerpack.strategies import StrategyConfig
 from ledgerpack.wire import read_block_stream
 
+import test_manifest_consistency as consistency
 from test_golden import CHAINS, all_configs
+from test_manifest_consistency import chain as consistency_chain  # noqa: F401  (module fixture)
 from test_store_contract import MUTATED_CONFIGS, MUTATIONS_PER_STORE, chain  # noqa: F401
+from test_store_kept_positions import BAD_POSITIONS, _store_with_positions
 from test_store_mutations import MANIFEST_VALUES, MUTATIONS_PER_FILE, STORE_LABELS, _flip, _stamp
 from test_verify_framing import _frame, _restamp_bodies_digest
 
@@ -160,3 +168,56 @@ def test_rewritten_framing(chain, tmp_path, label):
         for what, frame in variants:
             _restamp_bodies_digest(path, b"".join(frames[:i] + [frame] + frames[i + 1 :]))
             _compare(f"framing/{label}/{i}/{what}", path)
+
+
+def _cases(test):
+    """The parameter rows of a test's ``parametrize`` mark."""
+    (mark,) = [m for m in test.pytestmark if m.name == "parametrize"]
+    return mark.args[1]
+
+
+def _consistency_probes():
+    """(name, config, manifest key, re-stamped value) for each store the
+    probes of ``tests/test_manifest_consistency.py`` write; key None
+    leaves the manifest as written."""
+    prune = StrategyConfig(prune=consistency.PRUNE)
+    probes = [("clean", prune, None, None)]
+    for key, value, _ in _cases(consistency.test_restamped_prune_store_fails_verify):
+        probes.append((f"restamped/{key}={value}", prune, key, value))
+    for config, key, value, _ in _cases(consistency.test_flag_without_its_records_fails_verify):
+        probes.append((f"unbacked/{config.label()}/{key}={value}", config, key, value))
+    for key, text in _cases(consistency.test_malformed_flag_or_threshold_is_rejected):
+        probes.append((f"malformed/{key}={text!r}", prune, key, text))
+    for key, text, _ in _cases(consistency.test_a_value_is_read_only_in_its_written_form):
+        probes.append((f"written_form/{key}={text!r}", prune, key, text))
+    for text, _ in _cases(consistency.test_threshold_reads_minus_one_as_none):
+        probes.append((f"threshold/{text}", prune, "prune_threshold", text))
+    return probes
+
+
+def test_manifest_probes(consistency_chain, tmp_path):
+    for i, (name, config, key, value) in enumerate(_consistency_probes()):
+        path = consistency._store(consistency_chain, tmp_path / str(i), config)
+        if key is not None:
+            consistency._restamp(path, key, value)
+        _compare(f"consistency/{name}", path)
+
+
+def test_missing_body(consistency_chain, tmp_path):
+    def drop_15(model):
+        model.bodies[:] = [rec for rec in model.bodies if rec.height != 15]
+
+    path = consistency._store(consistency_chain, tmp_path, StrategyConfig(prune=consistency.PRUNE), drop_15)
+    _compare("consistency/missing_body", path)
+
+
+def test_empty_pruned_chain(tmp_path):
+    chain_file, path = str(tmp_path / "empty.dat"), str(tmp_path / "store")
+    assert cli.main(["genchain", chain_file, "--blocks", "0"]) == 0
+    assert cli.main(["compact", chain_file, path, "--prune-blocks", "1"]) == 0
+    _compare("consistency/empty_pruned_chain", path)
+
+
+@pytest.mark.parametrize("label", list(BAD_POSITIONS))
+def test_bad_kept_positions(tmp_path, label):
+    _compare(f"kept_positions/{label}", _store_with_positions(tmp_path, BAD_POSITIONS[label]))

@@ -13,7 +13,6 @@ from ledgerpack.wire import (
     Transaction,
     TxIn,
     TxOut,
-    VarInt,
     WitnessStack,
     decode_block,
     decode_transaction,
@@ -54,31 +53,26 @@ GENESIS_BLOCK_HASH = "000000000019d6689c085ae165831e934ff763ae46a2a6c172b3f1b60a
 
 
 def test_varint_single_byte():
-    v, used = decode_varint(b"\x00")
-    assert (v.value, v.width, used) == (0, 1, 1)
-    v, used = decode_varint(b"\xfc")
-    assert (v.value, used) == (0xFC, 1)
+    assert decode_varint(b"\x00") == (0, 1)
+    assert decode_varint(b"\xfc") == (0xFC, 1)
 
 
 def test_varint_three_byte():
-    v, used = decode_varint(b"\xfd\x26\x02")
-    assert (v.value, v.width, used) == (550, 3, 3)
+    assert decode_varint(b"\xfd\x26\x02") == (550, 3)
 
 
 def test_varint_five_and_nine_byte():
-    v, used = decode_varint(b"\xfe" + struct.pack("<I", 998000))
-    assert (v.value, used) == (998000, 5)
-    v, used = decode_varint(b"\xff" + struct.pack("<Q", 2**40))
-    assert (v.value, used) == (2**40, 9)
+    assert decode_varint(b"\xfe" + struct.pack("<I", 998000)) == (998000, 5)
+    assert decode_varint(b"\xff" + struct.pack("<Q", 2**40)) == (2**40, 9)
 
 
 def test_varint_noncanonical_width_is_preserved():
     # value 1 stored in 9 bytes: legal on disk, must round-trip bit-exactly
     raw = b"\xff" + struct.pack("<Q", 1)
-    v, used = decode_varint(raw)
-    assert (v.value, v.width, used) == (1, 9, 9)
-    assert encode_varint(v) == raw
-    assert encode_varint(VarInt(1)) == b"\x01"
+    value, width = decode_varint(raw)
+    assert (value, width) == (1, 9)
+    assert encode_varint(value, width) == raw
+    assert encode_varint(1) == b"\x01"
 
 
 def test_varint_canonical_boundaries():
@@ -91,20 +85,17 @@ def test_varint_canonical_boundaries():
         (0xFFFFFFFF, 5),
         (0x100000000, 9),
     ]:
-        enc = encode_varint(VarInt(value))
+        enc = encode_varint(value)
         assert len(enc) == width
-        back, used = decode_varint(enc)
-        assert (back.value, used) == (value, width)
+        assert decode_varint(enc) == (value, width)
 
 
 def test_varint_roundtrip_sweep():
     rng = random.Random(1101)
     for _ in range(2000):
         value = rng.randrange(2 ** rng.choice([4, 8, 16, 24, 32, 48, 64]))
-        v = VarInt(value)
-        back, used = decode_varint(encode_varint(v))
-        assert back.value == value
-        assert used == len(encode_varint(v))
+        enc = encode_varint(value)
+        assert decode_varint(enc) == (value, len(enc))
 
 
 def test_varint_truncated_payload():
@@ -118,11 +109,18 @@ def test_varint_truncated_payload():
 
 def test_varint_width_too_small_rejected():
     with pytest.raises(EncodeError):
-        encode_varint(VarInt(0x10000, 3))
+        encode_varint(0x10000, 3)
     with pytest.raises(EncodeError):
-        encode_varint(VarInt(0xFD, 1))
+        encode_varint(0xFD, 1)
     with pytest.raises(EncodeError):
-        encode_varint(VarInt(-1))
+        encode_varint(-1)
+    for width in (3, 5, 9):
+        with pytest.raises(EncodeError):
+            encode_varint(-1, width)
+    with pytest.raises(EncodeError):
+        encode_varint(2**64, 9)
+    with pytest.raises(EncodeError):
+        encode_varint(5, -1)
 
 
 # ---------------------------------------------------------------------------
