@@ -228,7 +228,7 @@ def cmd_estimate(args) -> int:
 
     blocks = read_block_file(args.chain, args.magic)
     config = _strategy_config(args)
-    report = estimate_footprint(blocks, config=config, magic=args.magic)
+    report = estimate_footprint(blocks, config=config)
     rows = [
         {
             "strategy": row.strategy,

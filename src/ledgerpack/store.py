@@ -497,6 +497,9 @@ def _parse_manifest(text: str) -> Manifest:
         raise StoreError(
             f"unsupported store format {manifest.format} (this build reads {FORMAT_VERSION})"
         )
+    # no extra, repeated or reordered line, blank line or padding
+    if manifest.text() != text:
+        raise StoreError("manifest is not in its written form")
     return manifest
 
 
@@ -886,7 +889,6 @@ def estimate_footprint(
     blocks,
     state: ChainState | None = None,
     config: StrategyConfig = StrategyConfig(),
-    magic: int = MAINNET_MAGIC,
 ) -> StorageReport:
     """Exact retained-bytes report for the strategy set and its singles.
 
@@ -897,7 +899,7 @@ def estimate_footprint(
     if state is None:
         state = build_chain(blocks)
 
-    baseline = build_store_model(blocks, state, StrategyConfig(), magic).retained_bytes
+    baseline = build_store_model(blocks, state, StrategyConfig()).retained_bytes
     rows = [ReportRow("baseline", baseline, 0.0)]
 
     singles = [StrategyConfig(**{name: getattr(config, name)}) for name in config.enabled()]
@@ -905,6 +907,6 @@ def estimate_footprint(
     for cfg in singles + combined:
         # keep only the size, so each model and its serialized files are
         # freed before the next one is built
-        retained = build_store_model(blocks, state, cfg, magic).retained_bytes
+        retained = build_store_model(blocks, state, cfg).retained_bytes
         rows.append(ReportRow(cfg.label(), retained, reduction_percent(baseline, retained)))
     return StorageReport(baseline, rows)

@@ -43,7 +43,6 @@ from .wire import (
     Transaction,
     TxIn,
     TxOut,
-    _truncated,
     _tuple_new,
     decode_transaction,
     decode_varint,
@@ -433,13 +432,13 @@ def _as_resolve(resolver):
 
 
 # The codec below runs once per stored tx in every strategy model and
-# once per compact tx on every read, so, like the wire decoders, it
-# writes and reads one-byte varints and fixed fields inline, and it
-# copies the stored form's witness section as one slice.  Its records,
-# SlackStats and errors must be the ones the field-by-field codec gives:
-# tests/test_slack_reference.py compares the two over seeded corpora,
-# truncations and byte flips, and tests/test_slack_restore.py checks the
-# wire bytes the decoder rebuilds.
+# once per compact tx on every read.  Like the wire decoders, it keeps
+# one-byte varints, fixed fields and identity script fields under 0xFD
+# bytes inline, sends every other script field to codec.encode/decode,
+# and copies the stored form's witness section as one slice.  Records,
+# SlackStats and errors must match tests/test_slack_reference.py's
+# field-by-field codec over seeded corpora, truncations and byte flips;
+# tests/test_slack_restore.py checks the wire bytes the decoder rebuilds.
 
 _TAG_PASSTHROUGH_BYTE = bytes((_TAG_PASSTHROUGH,))
 _TAG_COMPACT_BYTE = bytes((_TAG_COMPACT,))
@@ -519,10 +518,8 @@ def slack_record(tx: Transaction, stored: bytes, witness_at: int, locate, codec=
                     append(_LOCAL.pack(pos[0], pos[1]) + encode_varint(index))
                 n_local += 1
         script = txin.script
-        if identity:
-            n = len(script)
-            width = txin.script_len_width
-            append(_ONE_BYTE[n] if n < 0xFD and width <= 1 else encode_varint(n, width))
+        if identity and (n := len(script)) < 0xFD and txin.script_len_width <= 1:
+            append(_ONE_BYTE[n])
             append(script)
         else:
             append(codec.encode(script, txin.script_len_width))
@@ -545,10 +542,8 @@ def slack_record(tx: Transaction, stored: bytes, witness_at: int, locate, codec=
         else:
             append(_VARINT_9.pack(0xFF, value))
         script = txout.script
-        if identity:
-            n = len(script)
-            width = txout.script_len_width
-            append(_ONE_BYTE[n] if n < 0xFD and width <= 1 else encode_varint(n, width))
+        if identity and (n := len(script)) < 0xFD and txout.script_len_width <= 1:
+            append(_ONE_BYTE[n])
             append(script)
         else:
             append(codec.encode(script, txout.script_len_width))
@@ -694,16 +689,8 @@ def slack_decode_tx(data: bytes, resolver=None, offset: int = 0, codec=IDENTITY_
         else:
             raise DecodeError(f"invalid prevout kind {kind} for input {i}", field="slack bitmap")
         field_at = offset
-        if identity:
-            if offset < end and (n := data[offset]) < 0xFD:
-                width = 1
-            else:
-                n, width = decode_varint(data, offset)
-            offset += width
-            if offset + n > end:
-                raise _truncated(data, offset, n, "script")
-            script = data[offset : offset + n]
-            offset += n
+        if identity and offset < end and (n := data[offset]) < 0xFD and (stop := offset + 1 + n) <= end:
+            script, width, offset = data[offset + 1 : stop], 1, stop
         else:
             script, width, used = codec.decode(data, offset)
             offset += used
@@ -734,16 +721,8 @@ def slack_decode_tx(data: bytes, resolver=None, offset: int = 0, codec=IDENTITY_
         if value > MAX_MONEY:
             encodable = False
         field_at = offset
-        if identity:
-            if offset < end and (n := data[offset]) < 0xFD:
-                width = 1
-            else:
-                n, width = decode_varint(data, offset)
-            offset += width
-            if offset + n > end:
-                raise _truncated(data, offset, n, "script")
-            script = data[offset : offset + n]
-            offset += n
+        if identity and offset < end and (n := data[offset]) < 0xFD and (stop := offset + 1 + n) <= end:
+            script, width, offset = data[offset + 1 : stop], 1, stop
         else:
             script, width, used = codec.decode(data, offset)
             offset += used

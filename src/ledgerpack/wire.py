@@ -7,7 +7,10 @@ disk files, so decoded structures remember the width each varint was
 stored with and re-encode it unchanged (``encode(decode(b)) == b``).
 The varint codec takes and returns plain integers: :func:`decode_varint`
 gives ``(value, width)`` and ``encode_varint(value, width)`` writes it
-back, width 0 meaning the canonical (minimal) width.
+back, width 0 meaning the canonical (minimal) width.  Script fields go
+through a script codec; the decoders read a script field shorter than
+0xFD bytes with a one-byte length inline, and hand every other one to
+the codec.
 
 Hashes are kept in wire order (as serialized).  Use :func:`hash_hex`
 for the conventional reversed display form.
@@ -241,11 +244,11 @@ def encode_witness_stacks(stacks: list, parts: list, codec) -> None:
 
 
 # The decoders below are the hot loop of every command, so they read
-# one-byte varints and identity-codec script fields inline and check
-# bounds without a call per field.  Each error they raise must be the
-# one _need, decode_varint or IdentityScriptCodec.decode raises for the
-# same bytes; tests/test_wire_reference.py checks both results and
-# errors against a field-by-field reference decoder.
+# one-byte varints inline and check bounds without a call per field.
+# A script field stays inline only if identity-framed, under 0xFD bytes
+# and inside the buffer; any other goes to codec.decode, which raises
+# its errors.  tests/test_wire_reference.py checks results and errors
+# against a field-by-field reference decoder.
 
 _PREVOUT = struct.Struct("<32sI")
 _tuple_new = tuple.__new__  # builds an OutPoint from an unpacked (hash, index) pair
@@ -267,20 +270,12 @@ def decode_witness_stacks(data: bytes, offset: int, n_inputs: int, codec) -> tup
         items = []
         widths = []
         for _ in range(n_items):
-            if identity:
-                if offset < end and (n := data[offset]) < 0xFD:
-                    width = 1
-                else:
-                    n, width = decode_varint(data, offset)
-                offset += width
-                if offset + n > end:
-                    raise _truncated(data, offset, n, "script")
-                items.append(data[offset : offset + n])
-                offset += n
+            if identity and offset < end and (n := data[offset]) < 0xFD and (stop := offset + 1 + n) <= end:
+                item, width, offset = data[offset + 1 : stop], 1, stop
             else:
                 item, width, used = codec.decode(data, offset)
                 offset += used
-                items.append(item)
+            items.append(item)
             widths.append(width)
         stacks.append(WitnessStack(items, count_width, widths))
     return stacks, offset
@@ -333,16 +328,8 @@ def decode_transaction(data: bytes, offset: int = 0, codec=IDENTITY_CODEC) -> tu
             raise _truncated(data, offset, 36, "previous output")
         prevout = _tuple_new(OutPoint, _PREVOUT.unpack_from(data, offset))
         offset += 36
-        if identity:
-            if offset < end and (n := data[offset]) < 0xFD:
-                width = 1
-            else:
-                n, width = decode_varint(data, offset)
-            offset += width
-            if offset + n > end:
-                raise _truncated(data, offset, n, "script")
-            script = data[offset : offset + n]
-            offset += n
+        if identity and offset < end and (n := data[offset]) < 0xFD and (stop := offset + 1 + n) <= end:
+            script, width, offset = data[offset + 1 : stop], 1, stop
         else:
             script, width, used = codec.decode(data, offset)
             offset += used
@@ -369,16 +356,8 @@ def decode_transaction(data: bytes, offset: int = 0, codec=IDENTITY_CODEC) -> tu
                 f"output value {value} exceeds coin supply cap", offset=offset, field="output value"
             )
         offset += 8
-        if identity:
-            if offset < end and (n := data[offset]) < 0xFD:
-                width = 1
-            else:
-                n, width = decode_varint(data, offset)
-            offset += width
-            if offset + n > end:
-                raise _truncated(data, offset, n, "script")
-            script = data[offset : offset + n]
-            offset += n
+        if identity and offset < end and (n := data[offset]) < 0xFD and (stop := offset + 1 + n) <= end:
+            script, width, offset = data[offset + 1 : stop], 1, stop
         else:
             script, width, used = codec.decode(data, offset)
             offset += used

@@ -5,9 +5,11 @@ flags, ``keep_from`` and ``prune_threshold`` must agree with each other
 and with the spine and body records, and each value must read back in
 the form the writer writes: a flag ``0`` or ``1``, a number without a
 sign, space, underscore or leading zero, the magic in lowercase hex.
-Each probe below passed ``verify`` before these checks; now it exits 1
-without a traceback, while every golden store and an empty pruned chain
-still pass.
+The manifest as a whole must be the text the writer writes: no extra,
+repeated or reordered line, blank line or padding.  Each probe below
+passed ``verify`` before these checks; now it exits 1 without a
+traceback, while every golden store and an empty pruned chain still
+pass.
 """
 
 import hashlib
@@ -187,3 +189,47 @@ def test_empty_pruned_chain_passes(tmp_path, capsys):
     assert (manifest.tip, manifest.prune, manifest.prune_threshold) == (-1, True, None)
     capsys.readouterr()
     assert cli.main(["verify", store]) == 0
+
+
+def _restamped_lines(edit):
+    """A manifest rewrite that edits the lines before the checksum line
+    and re-stamps the checksum."""
+
+    def rewrite(text):
+        head = "".join(edit(text.splitlines(keepends=True)[:-1]))
+        return head + f"checksum={hashlib.sha256(head.encode('ascii')).hexdigest()}\n"
+
+    return rewrite
+
+
+def _before_keep_from(lines):
+    at = next(i for i, line in enumerate(lines) if line.startswith("keep_from="))
+    return lines[:at] + ["keep_from=0\n"] + lines[at:]
+
+
+# each rewrite keeps every value the store was written with
+REWRITTEN_MANIFESTS = {
+    "extra_line": _restamped_lines(lambda lines: lines + ["foo=bar\n"]),
+    "repeated_tip": _restamped_lines(lambda lines: lines + ["tip=19\n"]),
+    "earlier_keep_from": _restamped_lines(_before_keep_from),
+    "reversed_lines": _restamped_lines(lambda lines: lines[::-1]),
+    "leading_blank_line": _restamped_lines(lambda lines: ["\n"] + lines),
+    "padded_checksum": lambda text: text[:-1] + "  \n\n",
+}
+
+
+def _rewrite_manifest(path, rewrite):
+    manifest = os.path.join(path, MANIFEST_FILE)
+    with open(manifest, encoding="ascii") as fh:
+        text = fh.read()
+    with open(manifest, "w", encoding="ascii") as fh:
+        fh.write(rewrite(text))
+
+
+@pytest.mark.parametrize("name", list(REWRITTEN_MANIFESTS))
+def test_manifest_is_read_only_as_written(chain, tmp_path, capsys, name):
+    path = _store(chain, tmp_path, StrategyConfig(prune=PRUNE))
+    _rewrite_manifest(path, REWRITTEN_MANIFESTS[name])
+    (failure,) = integrity_check(path).failures
+    assert (failure.name, failure.detail) == ("manifest", "manifest is not in its written form")
+    _verify_exits_1(path, capsys)

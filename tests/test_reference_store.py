@@ -13,13 +13,15 @@ the same rows.  The stores are:
   flips of ``tests/test_store_contract.py``;
 - the rewritten body framings of ``tests/test_verify_framing.py``, and
   each body record with one junk byte appended to its payload;
-- the re-stamped manifests, the store missing a body and the empty
-  pruned store of ``tests/test_manifest_consistency.py``;
+- the re-stamped manifests, the rewritten manifests, the store missing
+  a body and the empty pruned store of
+  ``tests/test_manifest_consistency.py``;
 - the minimized records with bad kept positions of
   ``tests/test_store_kept_positions.py``.
 
-No difference is expected.  A change that means the readers to differ
-lists each store it affects by name in ``INTENDED_DIFFERENCES``.
+A change that means the readers to differ lists each store it affects
+by name in ``INTENDED_DIFFERENCES``; the rewritten manifests are the
+only ones listed.
 """
 
 import io
@@ -45,7 +47,17 @@ from test_store_mutations import MANIFEST_VALUES, MUTATIONS_PER_FILE, STORE_LABE
 from test_verify_framing import _frame, _restamp_bodies_digest
 
 # store name -> why the two readers give different results on it
-INTENDED_DIFFERENCES = {}
+INTENDED_DIFFERENCES = {
+    f"consistency/rewritten/{name}": "the frozen reader accepts a manifest not in its written form"
+    for name in [
+        "extra_line",
+        "repeated_tip",
+        "earlier_keep_from",
+        "reversed_lines",
+        "leading_blank_line",
+        "padded_checksum",
+    ]
+}
 
 
 def _read(reader, path):
@@ -201,6 +213,13 @@ def test_manifest_probes(consistency_chain, tmp_path):
         if key is not None:
             consistency._restamp(path, key, value)
         _compare(f"consistency/{name}", path)
+
+
+def test_rewritten_manifests(consistency_chain, tmp_path):
+    for name, rewrite in consistency.REWRITTEN_MANIFESTS.items():
+        path = consistency._store(consistency_chain, tmp_path / name, StrategyConfig(prune=consistency.PRUNE))
+        consistency._rewrite_manifest(path, rewrite)
+        _compare(f"consistency/rewritten/{name}", path)
 
 
 def test_missing_body(consistency_chain, tmp_path):
