@@ -451,11 +451,10 @@ def write_store(model: StoreModel, path: str) -> None:
         (SPINE_FILE, model.spine_bytes()),
         (BODIES_FILE, model.bodies_bytes()),
         (KVS_FILE, model.kvs_bytes()),
+        (MANIFEST_FILE, model.manifest_text().encode("ascii")),
     ]:
         with open(os.path.join(path, name), "wb") as fh:
             fh.write(data)
-    with open(os.path.join(path, MANIFEST_FILE), "w", encoding="ascii") as fh:
-        fh.write(model.manifest_text())
 
 
 def _read_value(f, text: str):
@@ -505,7 +504,6 @@ def _parse_manifest(text: str) -> Manifest:
 
 @dataclass
 class StoreView:
-    path: str
     manifest: Manifest
     spine: list
     bodies: list
@@ -590,26 +588,20 @@ def _read_file(path: str, name: str) -> bytes:
 def read_store(path: str) -> StoreView:
     """Parse a store directory; structural checks only, no hash checking."""
     try:
-        with open(os.path.join(path, MANIFEST_FILE), encoding="ascii") as fh:
-            manifest = _parse_manifest(fh.read())
-    except OSError as exc:
-        raise StoreError(f"cannot read store manifest: {exc}") from exc
+        manifest = _parse_manifest(_read_file(path, MANIFEST_FILE).decode("ascii"))
     except UnicodeDecodeError as exc:
         raise StoreError(f"store manifest is not ASCII text: {exc}") from exc
     spine = _parse_spine(_read_file(path, SPINE_FILE))
     bodies = _parse_bodies(_read_file(path, BODIES_FILE))
     kvs = _parse_kvs(_read_file(path, KVS_FILE))
-    if len(spine) != manifest.spine_count:
-        raise StoreError(
-            f"manifest says {manifest.spine_count} spine records, file has {len(spine)}"
-        )
-    if len(bodies) != manifest.body_count:
-        raise StoreError(
-            f"manifest says {manifest.body_count} body records, file has {len(bodies)}"
-        )
-    if len(kvs) != manifest.kvs_count:
-        raise StoreError(f"manifest says {manifest.kvs_count} KVS records, file has {len(kvs)}")
-    return StoreView(path, manifest, spine, bodies, kvs)
+    for what, records, count in [
+        ("spine", spine, manifest.spine_count),
+        ("body", bodies, manifest.body_count),
+        ("KVS", kvs, manifest.kvs_count),
+    ]:
+        if len(records) != count:
+            raise StoreError(f"manifest says {count} {what} records, file has {len(records)}")
+    return StoreView(manifest, spine, bodies, kvs)
 
 
 # ---------------------------------------------------------------------------
@@ -755,10 +747,9 @@ def integrity_check(path: str) -> IntegrityReport:
     report = IntegrityReport()
 
     try:
-        with open(os.path.join(path, MANIFEST_FILE), encoding="ascii") as fh:
-            manifest = _parse_manifest(fh.read())
+        manifest = _parse_manifest(_read_file(path, MANIFEST_FILE).decode("ascii"))
         report.add("manifest", None, True)
-    except (OSError, UnicodeDecodeError, StoreError) as exc:
+    except (UnicodeDecodeError, StoreError) as exc:
         report.add("manifest", None, False, str(exc))
         return report
 

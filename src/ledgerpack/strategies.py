@@ -369,7 +369,10 @@ class RefScriptCodec:
         script = self.kvs.get(ref)
         if script is None:
             raise DecodeError(f"script reference {ref.hex()} not in KVS", offset=offset)
-        return script, _TOKEN_REF_WIDTHS[token], 1 + REF_LEN
+        # token 1 stands for widths 0 and 1; a wire decoder records 1 for a
+        # one-byte length, so that is the width read back
+        width = _TOKEN_REF_WIDTHS[token] or int(len(script) < 0xFD)
+        return script, width, 1 + REF_LEN
 
 
 # A stored transaction is the wire layout with a script codec.

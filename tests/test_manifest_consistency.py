@@ -9,7 +9,8 @@ The manifest as a whole must be the text the writer writes: no extra,
 repeated or reordered line, blank line or padding.  Each probe below
 passed ``verify`` before these checks; now it exits 1 without a
 traceback, while every golden store and an empty pruned chain still
-pass.
+pass.  The manifest is read as bytes, like the other store files, so
+CRLF line endings are not read as the LF text the writer wrote.
 """
 
 import hashlib
@@ -232,4 +233,53 @@ def test_manifest_is_read_only_as_written(chain, tmp_path, capsys, name):
     _rewrite_manifest(path, REWRITTEN_MANIFESTS[name])
     (failure,) = integrity_check(path).failures
     assert (failure.name, failure.detail) == ("manifest", "manifest is not in its written form")
+    _verify_exits_1(path, capsys)
+
+
+def _manifest_bytes(path):
+    with open(os.path.join(path, MANIFEST_FILE), "rb") as fh:
+        return fh.read()
+
+
+def _write_manifest(path, data):
+    with open(os.path.join(path, MANIFEST_FILE), "wb") as fh:
+        fh.write(data)
+
+
+def _crlf_old_checksum(path):
+    _write_manifest(path, _manifest_bytes(path).replace(b"\n", b"\r\n"))
+    return "manifest checksum mismatch"
+
+
+def _crlf_restamped(path):
+    data = _manifest_bytes(path)
+    head = data[: data.rindex(b"checksum=")].replace(b"\n", b"\r\n")
+    _write_manifest(path, head + b"checksum=" + hashlib.sha256(head).hexdigest().encode("ascii") + b"\r\n")
+    return "manifest is not in its written form"
+
+
+def _missing(path):
+    manifest = os.path.join(path, MANIFEST_FILE)
+    os.remove(manifest)
+    return f"cannot read store file {MANIFEST_FILE}: [Errno 2] No such file or directory: {manifest!r}"
+
+
+# each edits the manifest and returns the message of reading it; a reader
+# in text mode read the CRLF ones as LF text
+BYTES_MANIFESTS = {
+    "crlf_old_checksum": _crlf_old_checksum,
+    "crlf_restamped": _crlf_restamped,
+    "missing": _missing,
+}
+
+
+@pytest.mark.parametrize("name", list(BYTES_MANIFESTS))
+def test_manifest_is_read_as_bytes(chain, tmp_path, capsys, name):
+    path = _store(chain, tmp_path, StrategyConfig(prune=PRUNE))
+    detail = BYTES_MANIFESTS[name](path)
+    (failure,) = integrity_check(path).failures
+    assert (failure.name, failure.detail) == ("manifest", detail)
+    with pytest.raises(StoreError) as raised:
+        read_store(path)
+    assert str(raised.value) == detail
     _verify_exits_1(path, capsys)

@@ -13,15 +13,15 @@ the same rows.  The stores are:
   flips of ``tests/test_store_contract.py``;
 - the rewritten body framings of ``tests/test_verify_framing.py``, and
   each body record with one junk byte appended to its payload;
-- the re-stamped manifests, the rewritten manifests, the store missing
-  a body and the empty pruned store of
+- the re-stamped manifests, the rewritten manifests, the manifests
+  read as bytes, the store missing a body and the empty pruned store of
   ``tests/test_manifest_consistency.py``;
 - the minimized records with bad kept positions of
   ``tests/test_store_kept_positions.py``.
 
 A change that means the readers to differ lists each store it affects
-by name in ``INTENDED_DIFFERENCES``; the rewritten manifests are the
-only ones listed.
+by name in ``INTENDED_DIFFERENCES``; the rewritten manifests and the
+manifests read as bytes are the only ones listed.
 """
 
 import io
@@ -57,6 +57,9 @@ INTENDED_DIFFERENCES = {
         "leading_blank_line",
         "padded_checksum",
     ]
+} | {
+    f"consistency/bytes/{name}": "the frozen reader reads the manifest in text mode"
+    for name in ["crlf_old_checksum", "crlf_restamped", "missing"]
 }
 
 
@@ -220,6 +223,13 @@ def test_rewritten_manifests(consistency_chain, tmp_path):
         path = consistency._store(consistency_chain, tmp_path / name, StrategyConfig(prune=consistency.PRUNE))
         consistency._rewrite_manifest(path, rewrite)
         _compare(f"consistency/rewritten/{name}", path)
+
+
+def test_manifests_read_as_bytes(consistency_chain, tmp_path):
+    for name, edit in consistency.BYTES_MANIFESTS.items():
+        path = consistency._store(consistency_chain, tmp_path / name, StrategyConfig(prune=consistency.PRUNE))
+        edit(path)
+        _compare(f"consistency/bytes/{name}", path)
 
 
 def test_missing_body(consistency_chain, tmp_path):
