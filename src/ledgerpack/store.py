@@ -19,7 +19,8 @@ shortest of its faithful records, tried in the order raw, compact,
 minimized with stored txs, minimized with slack txs; a tie goes to the
 earliest.  Body records decode self-contained in file order: a compact
 transaction only references positions that an ascending reader has
-already decoded.
+already decoded.  Readers take one walk over them (:func:`walk_records`),
+which holds one record at a time and a (height, index) -> txid table.
 """
 
 from __future__ import annotations
@@ -568,7 +569,10 @@ def _parse_kvs(data: bytes) -> dict:
         if offset + REF_LEN > len(data):
             raise TruncationError(f"KVS record {index} reference cut short", offset=offset)
         ref = bytes(data[offset : offset + REF_LEN])
-        length, used = decode_varint(data, offset + REF_LEN)
+        try:
+            length, used = decode_varint(data, offset + REF_LEN)
+        except TruncationError as exc:
+            raise TruncationError(f"KVS record {index} script cut short: {exc}", offset=offset) from exc
         at = offset + REF_LEN + used
         if at + length > len(data):
             raise TruncationError(f"KVS record {index} script cut short", offset=offset)
@@ -585,15 +589,12 @@ def _read_file(path: str, name: str) -> bytes:
         raise StoreError(f"cannot read store file {name}: {exc}") from exc
 
 
-def read_store(path: str) -> StoreView:
-    """Parse a store directory; structural checks only, no hash checking."""
-    try:
-        manifest = _parse_manifest(_read_file(path, MANIFEST_FILE).decode("ascii"))
-    except UnicodeDecodeError as exc:
-        raise StoreError(f"store manifest is not ASCII text: {exc}") from exc
-    spine = _parse_spine(_read_file(path, SPINE_FILE))
-    bodies = _parse_bodies(_read_file(path, BODIES_FILE))
-    kvs = _parse_kvs(_read_file(path, KVS_FILE))
+def _parse_view(manifest: Manifest, read) -> StoreView:
+    """Parse the data files that ``read`` (file name -> bytes) gives, spine
+    first, then bodies, then KVS, and check their record counts."""
+    spine = _parse_spine(read(SPINE_FILE))
+    bodies = _parse_bodies(read(BODIES_FILE))
+    kvs = _parse_kvs(read(KVS_FILE))
     for what, records, count in [
         ("spine", spine, manifest.spine_count),
         ("body", bodies, manifest.body_count),
@@ -602,6 +603,15 @@ def read_store(path: str) -> StoreView:
         if len(records) != count:
             raise StoreError(f"manifest says {count} {what} records, file has {len(records)}")
     return StoreView(manifest, spine, bodies, kvs)
+
+
+def read_store(path: str) -> StoreView:
+    """Parse a store directory; structural checks only, no hash checking."""
+    try:
+        manifest = _parse_manifest(_read_file(path, MANIFEST_FILE).decode("ascii"))
+    except UnicodeDecodeError as exc:
+        raise StoreError(f"store manifest is not ASCII text: {exc}") from exc
+    return _parse_view(manifest, lambda name: _read_file(path, name))
 
 
 # ---------------------------------------------------------------------------
@@ -618,89 +628,83 @@ class StoreContent:
     txids: dict = field(default_factory=dict)  # (height, tx_index) -> txid of each decoded tx
 
 
-def decode_store_content(view: StoreView) -> StoreContent:
-    """Decode every body record in file order, resolving compact prevouts.
+def walk_records(view: StoreView, txids: dict):
+    """Decode the body records in file order, one at a time.
 
-    Each restored transaction is serialized once; its wire bytes give
-    both the block bytes and the txid recorded in ``txids``.
+    Yields (record, its ``Block`` or ``MinimizedBlock``, the block's wire
+    bytes or None for a minimized record).  Only ``txids``, the caller's
+    (height, tx index) -> txid table, outlives a record: each decoded tx's
+    txid goes in, and compact prevouts resolve against it.  A restored tx's
+    wire bytes, serialized at most once, give both block bytes and txid.
     """
     codec = view.codec()
-    content = StoreContent()
-    positions = content.txids
-
-    def resolve(height, tx_index):
-        return positions.get((height, tx_index))
 
     def restore(height, tx_index, tx):
-        raw, positions[(height, tx_index)] = encode_with_txid(tx)
+        raw, txids[(height, tx_index)] = encode_with_txid(tx)
         return raw
 
     def spine_header(rec):
-        header = view.spine[rec.height].header if rec.height < len(view.spine) else None
-        if header is None:
-            raise StoreError(
-                f"{_KIND_NAMES[rec.kind]} record at height {rec.height} has no spine header"
-            )
-        return header
+        if rec.height >= len(view.spine) or view.spine[rec.height].header is None:
+            raise StoreError(f"{_KIND_NAMES[rec.kind]} record at height {rec.height} has no spine header")
+        return view.spine[rec.height].header
 
     for rec in view.bodies:
         if rec.kind == KIND_RAW:
             block = decode_block(rec.payload, codec)
             wire_txs = [restore(rec.height, i, tx) for i, tx in enumerate(block.transactions)]
             # identity-decoded txs are slices of the payload, which is the block
-            raw = rec.payload if codec is IDENTITY_CODEC else join_block(block, wire_txs)
-            content.blocks[rec.height] = block
-            content.block_bytes[rec.height] = raw
+            yield rec, block, rec.payload if codec is IDENTITY_CODEC else join_block(block, wire_txs)
         elif rec.kind == KIND_COMPACT:
             header = spine_header(rec)
             n_tx, tx_count_width = decode_varint(rec.payload, 0)
             if n_tx == 0:
                 raise DecodeError(f"compact record at height {rec.height} has zero transactions")
             offset = tx_count_width
-            txs = []
-            wire_txs = []
+            txs, wire_txs = [], []
             for i in range(n_tx):
-                tx, consumed = slack_decode_tx(rec.payload, resolve, offset, codec)
+                tx, consumed = slack_decode_tx(rec.payload, txids, offset, codec)
                 offset += consumed
                 wire_txs.append(restore(rec.height, i, tx))
                 txs.append(tx)
             if offset != len(rec.payload):
-                raise StoreError(
-                    f"{len(rec.payload) - offset} stray byte(s) in compact record at height "
-                    f"{rec.height}"
-                )
+                stray = len(rec.payload) - offset
+                raise StoreError(f"{stray} stray byte(s) in compact record at height {rec.height}")
             block = Block(header, txs, tx_count_width=tx_count_width)
             raw = join_block(block, wire_txs)
             block.raw_size_bytes = len(raw)
-            content.blocks[rec.height] = block
-            content.block_bytes[rec.height] = raw
+            yield rec, block, raw
         else:  # KIND_MINIMIZED
             header = spine_header(rec)
             if not rec.payload:
                 raise TruncationError(f"minimized record at height {rec.height} is empty")
             tx_mode = rec.payload[0]
             if tx_mode not in (0, 1):
-                raise StoreError(
-                    f"minimized record at height {rec.height} has unknown tx encoding {tx_mode}"
-                )
-            mb = deserialize_minimized(
-                rec.payload[1:], view.spine[rec.height].block_hash, header.merkle_root
-            )
+                raise StoreError(f"minimized record at height {rec.height} has unknown tx encoding {tx_mode}")
+            mb = deserialize_minimized(rec.payload[1:], view.spine[rec.height].block_hash, header.merkle_root)
             if not mb.kept:
                 raise DecodeError(f"minimized record at height {rec.height} keeps no transaction")
             for i, (pos, stored) in enumerate(mb.kept):
                 if tx_mode == 1:
-                    tx, consumed = slack_decode_tx(stored, resolve, 0, codec)
+                    tx, consumed = slack_decode_tx(stored, txids, 0, codec)
                 else:
                     tx, consumed = decode_transaction(stored, 0, codec)
                 if consumed != len(stored):
-                    raise StoreError(
-                        f"stray bytes after kept tx {pos} in minimized record at height "
-                        f"{rec.height}"
-                    )
+                    raise StoreError(f"stray bytes after kept tx {pos} in minimized record at height {rec.height}")
                 mb.kept[i] = (pos, restore(rec.height, pos, tx))
             mb.retained_bytes = len(rec.payload)
-            content.minimized[rec.height] = mb
+            yield rec, mb, None
+
+
+def decode_store_content(view: StoreView) -> StoreContent:
+    """:func:`walk_records` folded into one dict per result, all held at
+    once; a later record at a height replaces an earlier one."""
+    content = StoreContent()
+    for rec, decoded, raw in walk_records(view, content.txids):
+        if raw is None:
+            content.minimized[rec.height] = decoded
+        else:
+            content.blocks[rec.height] = decoded
+            content.block_bytes[rec.height] = raw
     return content
 
 
@@ -741,8 +745,10 @@ def integrity_check(path: str) -> IntegrityReport:
     """Verify digests, spine continuity, the manifest's strategy fields
     against the records, Merkle roots and co-paths.
 
-    A missing body below the prune threshold is by design, never a
-    failure; a body record outside the retained range is one.
+    Each file is read once, and the bytes hashed are the bytes parsed; each
+    body record is checked as :func:`walk_records` decodes it.  A missing
+    body below the prune threshold is by design, never a failure; a body
+    record outside the retained range is one.
     """
     report = IntegrityReport()
 
@@ -753,30 +759,25 @@ def integrity_check(path: str) -> IntegrityReport:
         report.add("manifest", None, False, str(exc))
         return report
 
+    files = {}  # data file name -> its bytes, until parsed
     for name, filename in [("spine", SPINE_FILE), ("bodies", BODIES_FILE), ("kvs", KVS_FILE)]:
         try:
-            digest = hashlib.sha256(_read_file(path, filename)).hexdigest()
-            ok = digest == getattr(manifest, f"sha256_{name}")
-            report.add(
-                f"digest_{name}", None, ok, "" if ok else "file does not match manifest digest"
-            )
+            files[filename] = data = _read_file(path, filename)
+            ok = hashlib.sha256(data).hexdigest() == getattr(manifest, f"sha256_{name}")
+            report.add(f"digest_{name}", None, ok, "" if ok else "file does not match manifest digest")
         except StoreError as exc:
             report.add(f"digest_{name}", None, False, str(exc))
 
     try:
-        view = read_store(path)
+        # a file that could not be read is tried again, to raise its error in parse order
+        view = _parse_view(manifest, lambda name: files.pop(name) if name in files else _read_file(path, name))
         report.add("structure", None, True)
     except (StoreError, DecodeError) as exc:
         report.add("structure", None, False, str(exc))
         return report
 
-    if len(view.spine) != view.manifest.tip + 1:
-        report.add(
-            "spine_length",
-            None,
-            False,
-            f"{len(view.spine)} spine records for tip {view.manifest.tip}",
-        )
+    if len(view.spine) != manifest.tip + 1:
+        report.add("spine_length", None, False, f"{len(view.spine)} spine records for tip {manifest.tip}")
     for height, rec in enumerate(view.spine):
         if rec.header is None:
             continue
@@ -822,40 +823,38 @@ def integrity_check(path: str) -> IntegrityReport:
                 report.add("body_missing", height, False, "retained height has no body record")
     report.section("layout")
 
+    # Each record is checked as it decodes.  Once all have, its rows follow: kind rows,
+    # then full-block rows, then co-path rows; a record that does not decode reports only that.
+    txids, kinds, blocks, copaths = {}, IntegrityReport(), IntegrityReport(), IntegrityReport()
     try:
-        content = decode_store_content(view)
+        for rec, decoded, raw in walk_records(view, txids):
+            height = rec.height
+            # record kinds that a strategy flag left off never writes
+            if rec.kind == KIND_COMPACT and not manifest.slack:
+                kinds.add("body_kind", height, False, "compact record without slack")
+            if rec.kind == KIND_MINIMIZED and not manifest.minimize:
+                kinds.add("body_kind", height, False, "minimized record without minimize")
+            if rec.kind == KIND_MINIMIZED and rec.payload[0] == 1 and not manifest.slack:
+                kinds.add("body_kind", height, False, "slack-encoded kept txs without slack")
+            # Leaves come from the txids decoding computed.  A body past the
+            # end of the spine has no hash to compare; the layout checks report it.
+            if raw is None:
+                for pos, _ in decoded.kept:
+                    if not verify_leaf_in_minimized(decoded, pos, txids[height, pos]):
+                        detail = f"kept tx at position {pos} fails co-path verification"
+                        copaths.add("copath", height, False, detail)
+            elif height < len(view.spine) and decoded.block_hash() != view.spine[height].block_hash:
+                blocks.add("block_hash", height, False, "body header does not match spine hash")
+            else:
+                leaves = [txids[height, i] for i in range(len(decoded.transactions))]
+                if merkle_root(leaves) != decoded.header.merkle_root:
+                    blocks.add("merkle_root", height, False, "transactions do not hash to the header root")
         report.add("decode", None, True)
     except LedgerError as exc:  # corrupt payloads must report, not crash
         report.add("decode", None, False, f"{type(exc).__name__}: {exc}")
         return report
-
-    # record kinds that a strategy flag left off never writes; checked once
-    # the records decode, so a record that does not reports only that
-    for rec in view.bodies:
-        if rec.kind == KIND_COMPACT and not manifest.slack:
-            report.add("body_kind", rec.height, False, "compact record without slack")
-        if rec.kind == KIND_MINIMIZED and not manifest.minimize:
-            report.add("body_kind", rec.height, False, "minimized record without minimize")
-        if rec.kind == KIND_MINIMIZED and rec.payload[0] == 1 and not manifest.slack:
-            report.add("body_kind", rec.height, False, "slack-encoded kept txs without slack")
-
-    # Leaves come from the txids decoding computed.  A body past the end
-    # of the spine has no hash to compare; the layout checks report it.
-    for height, block in content.blocks.items():
-        if height < len(view.spine) and block.block_hash() != view.spine[height].block_hash:
-            report.add("block_hash", height, False, "body header does not match spine hash")
-            continue
-        root = merkle_root([content.txids[(height, i)] for i in range(len(block.transactions))])
-        if root != block.header.merkle_root:
-            report.add("merkle_root", height, False, "transactions do not hash to the header root")
-    for height, mb in content.minimized.items():
-        for pos, _ in mb.kept:
-            if not verify_leaf_in_minimized(mb, pos, content.txids[(height, pos)]):
-                report.add(
-                    "copath", height, False, f"kept tx at position {pos} fails co-path verification"
-                )
+    report.checks += kinds.checks + blocks.checks + copaths.checks
     report.section("content")
-
     return report
 
 

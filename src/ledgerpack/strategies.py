@@ -52,6 +52,7 @@ from .wire import (
     encode_varint,
     encode_with_txid,
     encode_with_witness_at,
+    encode_witness_stacks,
     join_block,
     merkle_levels,
     txid,
@@ -589,10 +590,10 @@ def slack_decode_tx(data: bytes, resolver=None, offset: int = 0, codec=IDENTITY_
 
     ``resolver`` maps (height, tx_index) back to a txid; an unresolvable
     position means the record is unreadable (store corruption or a
-    locator that does not cover the reference).  Through the identity
-    codec a compact record's transaction keeps the wire bytes rebuilt
-    while decoding as its ``source``, as :func:`decode_transaction` keeps
-    the bytes it read, so encoding it and its txid slice them.  A
+    locator that does not cover the reference).  A compact record's
+    transaction keeps the wire bytes rebuilt while decoding as its
+    ``source``, whatever the script codec, as :func:`decode_transaction`
+    keeps the bytes it read, so encoding it and its txid slice them.  A
     transaction whose fields cannot be encoded (no inputs or outputs, a
     prevout index or an output value out of range) keeps none, so
     encoding it raises as for a built one.
@@ -646,8 +647,8 @@ def slack_decode_tx(data: bytes, resolver=None, offset: int = 0, codec=IDENTITY_
         offset += 4
     bits >>= 4
 
-    # the wire bytes, rebuilt field by field; they are the tx's source
-    # only when its script fields went through the identity codec
+    # the wire bytes, rebuilt field by field: identity-framed fields are
+    # sliced from the record, others framed again as on the wire
     wire = [_U32.pack(version), _MARKER if has_witness else b"", data[counts_at : counts_at + n_in_width]]
     append = wire.append
     encodable = n_in > 0 and n_out > 0
@@ -697,6 +698,9 @@ def slack_decode_tx(data: bytes, resolver=None, offset: int = 0, codec=IDENTITY_
         else:
             script, width, used = codec.decode(data, offset)
             offset += used
+            if not identity:  # framed as on the wire; the slice below keeps only what follows
+                append(IDENTITY_CODEC.encode(script, width))
+                field_at = offset
         if bits & 4:
             if offset + 4 > end:
                 raise _short(4, offset, "sequence escape")
@@ -723,13 +727,16 @@ def slack_decode_tx(data: bytes, resolver=None, offset: int = 0, codec=IDENTITY_
             offset += used
         if value > MAX_MONEY:
             encodable = False
+        append(_U64.pack(value))
         field_at = offset
         if identity and offset < end and (n := data[offset]) < 0xFD and (stop := offset + 1 + n) <= end:
             script, width, offset = data[offset + 1 : stop], 1, stop
         else:
             script, width, used = codec.decode(data, offset)
             offset += used
-        append(_U64.pack(value))
+            if not identity:
+                append(IDENTITY_CODEC.encode(script, width))
+                field_at = offset
         append(data[field_at:offset])
         outputs.append(TxOut(value, script, width))
 
@@ -739,12 +746,15 @@ def slack_decode_tx(data: bytes, resolver=None, offset: int = 0, codec=IDENTITY_
         witness_at = sum(map(len, wire))
         field_at = offset
         witnesses, offset = decode_witness_stacks(data, offset, n_in, codec)
-        append(data[field_at:offset])
+        if identity:
+            append(data[field_at:offset])
+        else:
+            encode_witness_stacks(witnesses, wire, IDENTITY_CODEC)
 
     tx = Transaction(
         version, inputs, outputs, lock_time, has_witness, witnesses, n_in_width, n_out_width
     )
-    if identity and encodable:
+    if encodable:
         append(_U32.pack(lock_time))
         tx.source = b"".join(wire)
         tx.witness_at = witness_at

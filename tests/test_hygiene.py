@@ -25,6 +25,8 @@ LIBRARY_API = {
     "composition_for_block",  # analytics
     "locate_tx",  # chain
     "gen_tx_corpus",  # fixture
+    "decode_store_content",  # store
+    "read_store",
     "encode_stored_tx",  # strategies
     "decode_stored_tx",
     "minimize_block",

@@ -17,11 +17,15 @@ the same rows.  The stores are:
   read as bytes, the store missing a body and the empty pruned store of
   ``tests/test_manifest_consistency.py``;
 - the minimized records with bad kept positions of
-  ``tests/test_store_kept_positions.py``.
+  ``tests/test_store_kept_positions.py``;
+- two minimize stores with edited body records: one that fails each
+  content check at interleaved heights, and one where a record with a
+  bad Merkle root comes before a record that does not decode.
 
 A change that means the readers to differ lists each store it affects
-by name in ``INTENDED_DIFFERENCES``; the rewritten manifests and the
-manifests read as bytes are the only ones listed.
+by name in ``INTENDED_DIFFERENCES``: the rewritten manifests, the
+manifests read as bytes, and the five rewritten framings where two body
+records share a height.
 """
 
 import io
@@ -46,6 +50,11 @@ from test_store_kept_positions import BAD_POSITIONS, _store_with_positions
 from test_store_mutations import MANIFEST_VALUES, MUTATIONS_PER_FILE, STORE_LABELS, _flip, _stamp
 from test_verify_framing import _frame, _restamp_bodies_digest
 
+# Two body records share a height: the frozen reader checks the earlier
+# one against the txids the later one overwrote, and the walk checks each
+# record against the txids decoded with it.  Both report body_order.
+SHARED_HEIGHT = "the frozen reader checks a record against txids a later record overwrote"
+
 # store name -> why the two readers give different results on it
 INTENDED_DIFFERENCES = {
     f"consistency/rewritten/{name}": "the frozen reader accepts a manifest not in its written form"
@@ -60,6 +69,9 @@ INTENDED_DIFFERENCES = {
 } | {
     f"consistency/bytes/{name}": "the frozen reader reads the manifest in text mode"
     for name in ["crlf_old_checksum", "crlf_restamped", "missing"]
+} | {
+    f"framing/minimize+dedup/{name}": SHARED_HEIGHT
+    for name in ["8/1/10/487", "9/2/11/291", "12/1/14/595", "13/2/15/449", "18/1/20/440"]
 }
 
 
@@ -88,6 +100,9 @@ def _compare(name, path):
     want = _read(ref, path), ref.integrity_check(path).rows
     if name in INTENDED_DIFFERENCES:
         assert got != want, f"{name} is listed as a difference, but the readers agree"
+        if INTENDED_DIFFERENCES[name] == SHARED_HEIGHT:
+            assert got[0] == want[0], name
+            assert ("body_order", None, False, "body heights are not strictly ascending") in got[1]
     else:
         assert got[0] == want[0], name
         assert got[1] == want[1], name
@@ -245,6 +260,67 @@ def test_empty_pruned_chain(tmp_path):
     assert cli.main(["genchain", chain_file, "--blocks", "0"]) == 0
     assert cli.main(["compact", chain_file, path, "--prune-blocks", "1"]) == 0
     _compare("consistency/empty_pruned_chain", path)
+
+
+def _edited_minimize_store(chain, tmp_path, edits):
+    """A minimize store of ``chain`` with edited body records: ``edits``
+    maps a height to a function of its record and the minimize+slack
+    model's record there, which returns the record to write instead."""
+    blocks, state = chain
+    with_slack = build_store_model(blocks, state, StrategyConfig(minimize=True, slack=True))
+    slack = {rec.height: rec for rec in with_slack.bodies}
+
+    def edit(model):
+        for i, rec in enumerate(model.bodies):
+            if rec.height in edits:
+                model.bodies[i] = edits[rec.height](rec, slack[rec.height])
+
+    return consistency._store(chain, tmp_path, StrategyConfig(minimize=True), edit)
+
+
+def _payload(change):
+    """An edit that replaces a record's payload by ``change(payload)``."""
+    return lambda rec, _: store.BodyRecord(rec.height, rec.kind, change(rec.payload))
+
+
+def _flip_last(payload):  # a raw block's last tx lock time, or a minimized record's last co-path node
+    return payload[:-1] + bytes([payload[-1] ^ 1])
+
+
+def _flip_nonce(payload):  # in a raw block's own header; the spine keeps its copy
+    return payload[:79] + bytes([payload[79] ^ 1]) + payload[80:]
+
+
+def test_content_rows_keep_their_order(consistency_chain, tmp_path):
+    """Failures of every content check at interleaved heights: kind rows,
+    then full-block rows, then co-path rows, each in record order."""
+    edits = {
+        3: _payload(_flip_last),
+        4: lambda _, slack: slack,  # a compact record
+        5: _payload(_flip_nonce),
+        8: lambda _, slack: slack,  # a minimized record with slack-encoded kept txs
+        9: _payload(_flip_last),
+        10: _payload(_flip_last),
+    }
+    path = _edited_minimize_store(consistency_chain, tmp_path, edits)
+    failures = [(c.name, c.height) for c in store.integrity_check(path).failures]
+    assert failures == [
+        ("body_kind", 4),
+        ("body_kind", 8),
+        ("block_hash", 5),
+        ("merkle_root", 10),
+        ("copath", 3),
+        ("copath", 9),
+    ]
+    _compare("edited/interleaved_failures", path)
+
+
+def test_a_decode_failure_hides_earlier_content_rows(consistency_chain, tmp_path):
+    edits = {10: _payload(_flip_last), 12: _payload(lambda _: b"")}
+    path = _edited_minimize_store(consistency_chain, tmp_path, edits)
+    failures = [(c.name, c.detail) for c in store.integrity_check(path).failures]
+    assert failures == [("decode", "TruncationError: minimized record at height 12 is empty")]
+    _compare("edited/merkle_root_then_decode", path)
 
 
 @pytest.mark.parametrize("label", list(BAD_POSITIONS))

@@ -205,9 +205,9 @@ def _records(corpus, codec, locator):
 
 
 def _compare_decode(data, offset, resolver, codec, decode=slack_decode_tx):
-    """Compare one decode with the reference.  Through the identity codec
-    the decoded tx's wire bytes and txid must equal those of the
-    reference tx, and an unencodable tx must raise alike."""
+    """Compare one decode with the reference.  Through either codec the
+    decoded tx's wire bytes and txid must equal those of the reference
+    tx, and an unencodable tx must raise alike."""
     got_exc, got = _outcome(decode, data, resolver, offset, codec)
     want_exc, want = _outcome(ref.slack_decode_tx, data, resolver, offset, codec)
     if want_exc is not None or got_exc is not None:
@@ -216,13 +216,12 @@ def _compare_decode(data, offset, resolver, codec, decode=slack_decode_tx):
     assert got[1] == want[1]
     assert got[0] == want[0]
     assert _widths(got[0]) == _widths(want[0])
-    if codec is IDENTITY_CODEC:
-        for encode in (encode_transaction, txid):
-            got_exc, got_raw = _outcome(encode, got[0])
-            want_exc, want_raw = _outcome(encode, want[0])
-            if want_exc is not None or got_exc is not None:
-                _assert_same_error(got_exc, want_exc)
-            assert got_raw == want_raw
+    for encode in (encode_transaction, txid):
+        got_exc, got_raw = _outcome(encode, got[0])
+        want_exc, want_raw = _outcome(encode, want[0])
+        if want_exc is not None or got_exc is not None:
+            _assert_same_error(got_exc, want_exc)
+        assert got_raw == want_raw
     return "ok"
 
 

@@ -130,6 +130,19 @@ def kvs_reference_cut_short(chain, tmp_path):
     return path, "structure", detail
 
 
+def kvs_script_length_cut_short(chain, tmp_path):
+    path, model = _store(chain, tmp_path)
+    data = model.kvs_bytes()
+    last = model.kvs[max(model.kvs)]
+    offset = len(data) - 8 - len(encode_varint(len(last))) - len(last)
+    _write(path, KVS_FILE, data[: offset + 8])  # the reference only
+    detail = (
+        f"KVS record {len(model.kvs) - 1} script cut short: need 1 byte(s), have 0 "
+        f"(field=varint prefix, offset={offset + 8}) (offset={offset})"
+    )
+    return path, "structure", detail
+
+
 def minimized_payload_empty(chain, tmp_path):
     path, model = _store(chain, tmp_path, _cut_minimized(lambda payload: b""))
     height = model.bodies[_last_minimized(model)].height
@@ -152,6 +165,7 @@ PROBES = {
     "spine_record_cut_short": spine_record_cut_short,
     "body_framing_cut_short": body_framing_cut_short,
     "kvs_reference_cut_short": kvs_reference_cut_short,
+    "kvs_script_length_cut_short": kvs_script_length_cut_short,
     "minimized_payload_empty": minimized_payload_empty,
     "kept_tx_cut_short": kept_tx_cut_short,
 }
