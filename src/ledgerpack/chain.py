@@ -110,19 +110,24 @@ def connect_block(
 
 @dataclass(slots=True)
 class ChainState:
-    index: ChainIndex
-    utxos: dict[OutPoint, UtxoEntry]
-    spent_log: list[SpentRecord]
+    index: ChainIndex = field(default_factory=ChainIndex)
+    utxos: dict[OutPoint, UtxoEntry] = field(default_factory=dict)
+    # None keeps no log, for a caller that reads no spend
+    spent_log: list[SpentRecord] | None = field(default_factory=list)
+
+    def connect(self, block: Block) -> None:
+        """Connect the next block, at height tip + 1."""
+        spent = connect_block(self.index, self.utxos, block, len(self.index.spine))
+        if self.spent_log is not None:
+            self.spent_log += spent
 
 
 def build_chain(blocks) -> ChainState:
-    """Fold :func:`connect_block` over a height-ordered block iterable."""
-    index = ChainIndex()
-    utxos: dict[OutPoint, UtxoEntry] = {}
-    spent_log: list[SpentRecord] = []
-    for height, block in enumerate(blocks):
-        spent_log.extend(connect_block(index, utxos, block, height))
-    return ChainState(index, utxos, spent_log)
+    """Fold :meth:`ChainState.connect` over a height-ordered block iterable."""
+    state = ChainState()
+    for block in blocks:
+        state.connect(block)
+    return state
 
 
 def locate_tx(index: ChainIndex, tx_hash: bytes) -> tuple[int, int] | None:

@@ -24,10 +24,10 @@ import gc
 import sys
 from dataclasses import fields
 
-from .chain import build_chain
+from .chain import ChainState
 from .errors import LedgerError
 from .reporting import render_rows, write_output
-from .wire import MAINNET_MAGIC, SEGWIT_BOUNDARY, hash_hex, read_block_file
+from .wire import MAINNET_MAGIC, SEGWIT_BOUNDARY, decode_block, hash_hex, read_frames
 
 
 def _magic_int(text: str) -> int:
@@ -106,6 +106,26 @@ def _strategy_config(args):
     return StrategyConfig(prune=prune, minimize=args.minimize, slack=args.slack, dedup=args.dedup)
 
 
+def _connected(args, state: ChainState):
+    """Yield (block, frame body) for each frame of the chain file once its
+    block is decoded and connected to ``state``, so that only ``state``
+    outlives a block; the first faulty frame in file order raises."""
+    with open(args.chain, "rb") as fh:
+        for body, _ in read_frames(fh, args.magic):
+            block = decode_block(body)
+            state.connect(block)
+            yield block, body
+
+
+def _chain(args, config) -> tuple:
+    """(blocks, chain state) as the store models of ``config`` read them; a
+    raw-only config's models read only the frame bodies, its raw records."""
+    raw_only = config.raw_only()
+    # only a quantile threshold reads the spends
+    state = ChainState(spent_log=[] if config.prune and config.prune.mode == "quantile" else None)
+    return [body if raw_only else block for block, body in _connected(args, state)], state
+
+
 def _emit(args, rows, float_digits=None) -> None:
     write_output(render_rows(rows, args.format, float_digits), args.output)
 
@@ -120,14 +140,14 @@ def _emit_metrics(args, rows) -> None:
 
 
 def cmd_parse(args) -> int:
-    blocks = read_block_file(args.chain, args.magic)
-    state = build_chain(blocks)
+    state = ChainState()
+    block_bytes = sum(len(body) for _, body in _connected(args, state))
     rows = [
-        ("blocks", len(blocks)),
-        ("transactions", sum(len(b.transactions) for b in blocks)),
-        ("block_bytes", sum(b.raw_size_bytes for b in blocks)),
+        ("blocks", len(state.index.spine)),
+        ("transactions", sum(map(len, state.index.txids))),
+        ("block_bytes", block_bytes),
         ("tip_height", state.index.tip_height()),
-        ("tip_hash", hash_hex(state.index.tip_hash()) if blocks else ""),
+        ("tip_hash", hash_hex(state.index.tip_hash()) if state.index.spine else ""),
         ("utxos", len(state.utxos)),
         ("spent_outputs", len(state.spent_log)),
     ]
@@ -146,15 +166,19 @@ def cmd_stats(args) -> int:
         script_dedup_stats,
     )
 
-    blocks = read_block_file(args.chain, args.magic)
+    # the report's one fold over the chain file; only lifespan reads the spends
+    state = ChainState(spent_log=[] if args.report == "lifespan" else None)
+    blocks = (block for block, _ in _connected(args, state))
+    if args.report in ("lifespan", "dormancy"):
+        for _ in blocks:
+            pass
 
     if args.report == "lifespan":
-        state = build_chain(blocks)
-        tip = len(blocks) - 1
+        tip = state.index.tip_height()
         as_of = args.as_of if args.as_of is not None else tip
         lo = args.created_from
         hi = args.created_to if args.created_to is not None else as_of
-        if not blocks and lo == 0 and args.created_to is None:
+        if tip < 0 and lo == 0 and args.created_to is None:
             # the default interval [0, tip] of a chain of no blocks holds no UTXO
             cdf = LifespanCdf([], 0, (lo, hi), as_of)
         else:
@@ -204,8 +228,7 @@ def cmd_stats(args) -> int:
         return 0
 
     # dormancy
-    state = build_chain(blocks)
-    stats = dormancy_stats(state.utxos, args.bucket_width, len(blocks))
+    stats = dormancy_stats(state.utxos, args.bucket_width, len(state.index.spine))
     rows = []
     for i, count in enumerate(stats.buckets):
         lo = i * stats.bucket_width
@@ -226,9 +249,8 @@ def cmd_stats(args) -> int:
 def cmd_estimate(args) -> int:
     from .store import estimate_footprint
 
-    blocks = read_block_file(args.chain, args.magic)
     config = _strategy_config(args)
-    report = estimate_footprint(blocks, config=config)
+    report = estimate_footprint(*_chain(args, config), config)
     rows = [
         {
             "strategy": row.strategy,
@@ -244,9 +266,8 @@ def cmd_estimate(args) -> int:
 def cmd_compact(args) -> int:
     from .store import build_store_model, write_store
 
-    blocks = read_block_file(args.chain, args.magic)
     config = _strategy_config(args)
-    model = build_store_model(blocks, config=config, magic=args.magic)
+    model = build_store_model(*_chain(args, config), config, args.magic)
     write_store(model, args.store)
     rows = [
         ("store", args.store),

@@ -59,6 +59,7 @@ from .wire import (
     decode_header,
     decode_transaction,
     decode_varint,
+    encode_block,
     encode_varint,
     encode_with_txid,
     encode_with_witness_at,
@@ -370,6 +371,11 @@ def _script_sites(blocks, readable) -> Counter:
     return Counter(scripts)
 
 
+def _spine(entries: list, headers: dict) -> list:
+    """A spine record per chain spine entry, with ``headers[height]`` where it has one."""
+    return [SpineRecord(entry.block_hash, headers.get(height)) for height, entry in enumerate(entries)]
+
+
 def build_store_model(
     blocks,
     state: ChainState | None = None,
@@ -384,6 +390,10 @@ def build_store_model(
     (minimize, when it drops a tx); a tie goes to the earliest.
     Requested dedup is dropped (recorded in the manifest) unless its
     exact effect on body file + KVS bytes is a net saving.
+
+    Under a :meth:`~StrategyConfig.raw_only` config a retained block's
+    record is its wire bytes and its spine header their first 80, so with
+    ``state`` given, ``blocks`` may hold those bytes, as frames do.
     """
     blocks = list(blocks)
     if state is None:
@@ -400,6 +410,12 @@ def build_store_model(
             cdf = lifespan_cdf(state.spent_log, state.utxos, (0, tip), tip)
         threshold = config.prune.resolve(cdf)
         keep_from = prune_keep_from(tip, threshold)
+
+    if config.raw_only():
+        retained = enumerate(blocks[keep_from:], keep_from)
+        bodies = [BodyRecord(h, KIND_RAW, b if type(b) is bytes else encode_block(b)) for h, b in retained]
+        spine = _spine(state.index.spine[: tip + 1], {r.height: decode_header(r.payload) for r in bodies})
+        return StoreModel(magic, tip, keep_from, config, threshold, spine, bodies, {}, None)
 
     # height -> (ascending positions of txs that still carry UTXOs, serialized
     # co-path of them or None when none is dropped); the co-path depends only
@@ -434,10 +450,7 @@ def build_store_model(
             if with_dedup < len(_bodies_file(bodies)):
                 bodies, stats, kvs = bodies_dedup, stats_dedup, codec.kvs
 
-    spine = [
-        SpineRecord(entry.block_hash, blocks[height].header if height in readable else None)
-        for height, entry in enumerate(state.index.spine[: tip + 1])
-    ]
+    spine = _spine(state.index.spine[: tip + 1], {height: blocks[height].header for height in readable})
     return StoreModel(magic, tip, keep_from, config, threshold, spine, bodies, kvs, stats)
 
 
@@ -653,7 +666,9 @@ def walk_records(view: StoreView, txids: dict):
             block = decode_block(rec.payload, codec)
             wire_txs = [restore(rec.height, i, tx) for i, tx in enumerate(block.transactions)]
             # identity-decoded txs are slices of the payload, which is the block
-            yield rec, block, rec.payload if codec is IDENTITY_CODEC else join_block(block, wire_txs)
+            raw = rec.payload if codec is IDENTITY_CODEC else join_block(block, wire_txs)
+            block.raw_size_bytes = len(raw)  # a dedup payload frames scripts by reference
+            yield rec, block, raw
         elif rec.kind == KIND_COMPACT:
             header = spine_header(rec)
             n_tx, tx_count_width = decode_varint(rec.payload, 0)

@@ -839,3 +839,6 @@ class StrategyConfig:
 
     def any_enabled(self) -> bool:
         return bool(self.enabled())
+
+    def raw_only(self) -> bool:  # every retained block keeps its raw record
+        return not (self.minimize or self.slack or self.dedup)

@@ -591,8 +591,8 @@ def frame_block(block_bytes: bytes, magic: int = MAINNET_MAGIC) -> bytes:
     return struct.pack(">I", magic) + _U32.pack(len(block_bytes)) + block_bytes
 
 
-def read_block_stream(source, magic: int = MAINNET_MAGIC):
-    """Yield (Block, file_offset) for each frame in a block file.
+def read_frames(source, magic: int = MAINNET_MAGIC):
+    """Yield (frame body bytes, file_offset) for each frame in a block file.
 
     ``source`` is a binary file-like object positioned at a frame
     boundary.  Zero padding after the final frame (block files are
@@ -637,7 +637,12 @@ def read_block_stream(source, magic: int = MAINNET_MAGIC):
                 offset=frame_start,
                 field="frame body",
             )
-        yield decode_block(body), frame_start
+        yield body, frame_start
+
+
+def read_block_stream(source, magic: int = MAINNET_MAGIC):
+    """Yield (Block, file_offset) for each frame :func:`read_frames` yields."""
+    return ((decode_block(body), offset) for body, offset in read_frames(source, magic))
 
 
 def read_block_file(path, magic: int = MAINNET_MAGIC) -> list[Block]:

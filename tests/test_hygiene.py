@@ -33,8 +33,8 @@ LIBRARY_API = {
     "slack_decode",
     "slack_encode",
     "verify_tx_in_minimized",
-    "encode_block",  # wire
-    "encode_transaction_legacy",
+    "encode_transaction_legacy",  # wire
+    "read_block_file",
 }
 
 
