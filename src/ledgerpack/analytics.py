@@ -191,8 +191,11 @@ def composition_breakdown(
     """
     pre = CompositionBreakdown()
     post = CompositionBreakdown()
-    for i, block in enumerate(blocks):
-        _add_block(block, pre if i < segwit_boundary else post)
+    height = 0
+    for block in blocks:
+        _add_block(block, pre if height < segwit_boundary else post)
+        height += 1
+        del block  # a block stream then holds one block, not two, as it decodes the next
     return pre, post
 
 
@@ -252,15 +255,20 @@ def script_multisets(blocks) -> tuple[Counter, Counter]:
     inputs: Counter = Counter()
     outputs: Counter = Counter()
     for block in blocks:
-        for tx in block.transactions:
-            for txin in tx.inputs:
-                inputs[txin.script] += 1
-            for stack in tx.witnesses:
-                for item in stack.items:
-                    inputs[item] += 1
-            for txout in tx.outputs:
-                outputs[txout.script] += 1
+        _count_scripts(block, inputs, outputs)
+        del block  # a block stream then holds one block, not two, as it decodes the next
     return inputs, outputs
+
+
+def _count_scripts(block: Block, inputs: Counter, outputs: Counter) -> None:
+    for tx in block.transactions:
+        for txin in tx.inputs:
+            inputs[txin.script] += 1
+        for stack in tx.witnesses:
+            for item in stack.items:
+                inputs[item] += 1
+        for txout in tx.outputs:
+            outputs[txout.script] += 1
 
 
 def script_dedup_stats(blocks) -> DedupStats:

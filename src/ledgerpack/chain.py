@@ -114,10 +114,12 @@ class ChainState:
     utxos: dict[OutPoint, UtxoEntry] = field(default_factory=dict)
     # None keeps no log, for a caller that reads no spend
     spent_log: list[SpentRecord] | None = field(default_factory=list)
+    spends: int = 0  # outputs spent so far, counted with or without the log
 
     def connect(self, block: Block) -> None:
         """Connect the next block, at height tip + 1."""
         spent = connect_block(self.index, self.utxos, block, len(self.index.spine))
+        self.spends += len(spent)
         if self.spent_log is not None:
             self.spent_log += spent
 

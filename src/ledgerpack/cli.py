@@ -22,12 +22,15 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
+from collections import deque
 from dataclasses import fields
+from functools import partial
+from operator import attrgetter
 
 from .chain import ChainState
 from .errors import LedgerError
 from .reporting import render_rows, write_output
-from .wire import MAINNET_MAGIC, SEGWIT_BOUNDARY, decode_block, hash_hex, read_frames
+from .wire import MAINNET_MAGIC, SEGWIT_BOUNDARY, FrameIndex, decode_block, hash_hex, read_frames
 
 
 def _magic_int(text: str) -> int:
@@ -106,24 +109,32 @@ def _strategy_config(args):
     return StrategyConfig(prune=prune, minimize=args.minimize, slack=args.slack, dedup=args.dedup)
 
 
-def _connected(args, state: ChainState):
-    """Yield (block, frame body) for each frame of the chain file once its
-    block is decoded and connected to ``state``, so that only ``state``
-    outlives a block; the first faulty frame in file order raises."""
+def _connected(args, state: ChainState, frames: FrameIndex | None = None):
+    """Yield each block of the chain file once it is decoded and connected
+    to ``state``, recording its frame in ``frames`` if given; the first
+    faulty frame in file order raises.  Only ``state`` outlives a block:
+    a consumer that drops each block before taking the next holds one
+    decoded block at a time."""
     with open(args.chain, "rb") as fh:
-        for body, _ in read_frames(fh, args.magic):
+        for body, offset in read_frames(fh, args.magic):
             block = decode_block(body)
             state.connect(block)
-            yield block, body
+            if frames is not None:
+                frames.add(offset, body, block.header)
+            yield block
+            del block, body
 
 
-def _chain(args, config) -> tuple:
-    """(blocks, chain state) as the store models of ``config`` read them; a
-    raw-only config's models read only the frame bodies, its raw records."""
-    raw_only = config.raw_only()
+def _build(args, config, build):
+    """``build(blocks, chain state, config)`` over the chain file's frame
+    index, which reads the file again while ``build`` runs; only its
+    result outlives the call."""
     # only a quantile threshold reads the spends
     state = ChainState(spent_log=[] if config.prune and config.prune.mode == "quantile" else None)
-    return [body if raw_only else block for block, body in _connected(args, state)], state
+    with open(args.chain, "rb") as fh:
+        frames = FrameIndex(fh)
+        deque(_connected(args, state, frames), maxlen=0)
+        return build(frames, state, config)
 
 
 def _emit(args, rows, float_digits=None) -> None:
@@ -140,8 +151,9 @@ def _emit_metrics(args, rows) -> None:
 
 
 def cmd_parse(args) -> int:
-    state = ChainState()
-    block_bytes = sum(len(body) for _, body in _connected(args, state))
+    state = ChainState(spent_log=None)
+    # map drops each block once it has its size, so one is alive at a time
+    block_bytes = sum(map(attrgetter("raw_size_bytes"), _connected(args, state)))
     rows = [
         ("blocks", len(state.index.spine)),
         ("transactions", sum(map(len, state.index.txids))),
@@ -149,7 +161,7 @@ def cmd_parse(args) -> int:
         ("tip_height", state.index.tip_height()),
         ("tip_hash", hash_hex(state.index.tip_hash()) if state.index.spine else ""),
         ("utxos", len(state.utxos)),
-        ("spent_outputs", len(state.spent_log)),
+        ("spent_outputs", state.spends),
     ]
     _emit_metrics(args, rows)
     return 0
@@ -168,10 +180,9 @@ def cmd_stats(args) -> int:
 
     # the report's one fold over the chain file; only lifespan reads the spends
     state = ChainState(spent_log=[] if args.report == "lifespan" else None)
-    blocks = (block for block, _ in _connected(args, state))
+    blocks = _connected(args, state)
     if args.report in ("lifespan", "dormancy"):
-        for _ in blocks:
-            pass
+        deque(blocks, maxlen=0)  # holds no block it has passed
 
     if args.report == "lifespan":
         tip = state.index.tip_height()
@@ -250,7 +261,7 @@ def cmd_estimate(args) -> int:
     from .store import estimate_footprint
 
     config = _strategy_config(args)
-    report = estimate_footprint(*_chain(args, config), config)
+    report = _build(args, config, estimate_footprint)
     rows = [
         {
             "strategy": row.strategy,
@@ -267,7 +278,7 @@ def cmd_compact(args) -> int:
     from .store import build_store_model, write_store
 
     config = _strategy_config(args)
-    model = build_store_model(*_chain(args, config), config, args.magic)
+    model = _build(args, config, partial(build_store_model, magic=args.magic))
     write_store(model, args.store)
     rows = [
         ("store", args.store),

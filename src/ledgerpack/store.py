@@ -10,8 +10,9 @@ Four files in a directory:
   payload.
 - ``scripts.kvs``: deduplicated scripts: 8-byte hash reference + length
   varint + script bytes.
-- ``manifest.txt``: one key=value line per :class:`Manifest` field, in
-  field order, then a checksum line over every earlier byte.
+- ``manifest.txt``: one key=value line per
+  :class:`~ledgerpack.manifest.Manifest` field, in field order, then a
+  checksum line over every earlier byte (see :mod:`ledgerpack.manifest`).
 
 Reported byte totals are the first three files exactly; the manifest is
 bookkeeping overhead and excluded.  Each retained block keeps the
@@ -28,11 +29,12 @@ from __future__ import annotations
 import hashlib
 import os
 from collections import Counter
-from dataclasses import dataclass, field, fields
-from operator import add
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 
 from .chain import ChainState, build_chain
 from .errors import DecodeError, LedgerError, StoreError, TruncationError
+from .manifest import FORMAT_VERSION, Manifest, parse_manifest
 from .strategies import (
     REF_LEN,
     RefScriptCodec,
@@ -47,6 +49,7 @@ from .strategies import (
     serialize_copath,
     serialize_kept,
     slack_decode_tx,
+    slack_floor,
     slack_record,
     verify_leaf_in_minimized,
 )
@@ -55,6 +58,7 @@ from .wire import (
     MAINNET_MAGIC,
     Block,
     BlockHeader,
+    FrameIndex,
     decode_block,
     decode_header,
     decode_transaction,
@@ -77,58 +81,6 @@ KIND_MINIMIZED = 0x02
 KIND_COMPACT = 0x03
 _KIND_NAMES = {KIND_RAW: "raw", KIND_MINIMIZED: "minimized", KIND_COMPACT: "compact"}
 
-FORMAT_VERSION = 1
-
-
-def _read_threshold(text: str) -> int | None:
-    value = int(text)
-    if value < -1:
-        raise ValueError(f"prune threshold {value} is below -1")
-    return None if value == -1 else value
-
-
-# How a manifest value is written, and how its text is read back; the
-# reader accepts a value only when writing it back gives the same text
-_NUMBER = {"write": str, "read": int}
-_FLAG = {"write": lambda flag: str(int(flag)), "read": lambda text: bool(int(text))}
-_HEX32 = {"write": "{:08x}".format, "read": lambda text: int(text, 16)}
-# -1 stands for no threshold
-_THRESHOLD = {"write": lambda value: str(-1 if value is None else value), "read": _read_threshold}
-_TEXT = {"write": str, "read": str}
-
-
-@dataclass
-class Manifest:
-    """``manifest.txt``: one ``key=value`` line per field, in field order,
-    then a checksum line.  Each field's metadata writes its value and
-    reads the text back."""
-
-    format: int = field(metadata=_NUMBER)
-    magic: int = field(metadata=_HEX32)
-    tip: int = field(metadata=_NUMBER)
-    keep_from: int = field(metadata=_NUMBER)
-    prune: bool = field(metadata=_FLAG)
-    prune_threshold: int | None = field(metadata=_THRESHOLD)
-    minimize: bool = field(metadata=_FLAG)
-    slack: bool = field(metadata=_FLAG)
-    dedup_requested: bool = field(metadata=_FLAG)
-    dedup: bool = field(metadata=_FLAG)
-    spine_count: int = field(metadata=_NUMBER)
-    body_count: int = field(metadata=_NUMBER)
-    kvs_count: int = field(metadata=_NUMBER)
-    sha256_spine: str = field(metadata=_TEXT)
-    sha256_bodies: str = field(metadata=_TEXT)
-    sha256_kvs: str = field(metadata=_TEXT)
-
-    def text(self) -> str:
-        lines = [f"{f.name}={f.metadata['write'](getattr(self, f.name))}\n" for f in fields(self)]
-        body = "".join(lines)
-        # Trailing self-checksum covers every earlier manifest byte, so a
-        # flipped digit in tip/keep_from/flags cannot masquerade as a
-        # different but internally consistent store.
-        check = hashlib.sha256(body.encode("utf-8")).hexdigest()
-        return body + f"checksum={check}\n"
-
 
 @dataclass
 class SpineRecord:
@@ -143,34 +95,39 @@ class BodyRecord:
     payload: bytes
 
 
-def _spine_file(spine) -> bytes:
-    parts = []
+def _spine_parts(spine):
+    """``spine.bin``'s bytes, in the parts they join from."""
     for rec in spine:
+        yield b"\x00" if rec.header is None else b"\x01"
+        yield rec.block_hash
         if rec.header is not None:
-            parts.append(b"\x01" + rec.block_hash + rec.header.encode())
-        else:
-            parts.append(b"\x00" + rec.block_hash)
-    return b"".join(parts)
+            yield rec.header.encode()
 
 
-def _bodies_file(bodies) -> bytes:
-    parts = []
+def _body_head(kind: int, height: int, length: int) -> bytes:
+    """A body record's framing, before its payload of ``length`` bytes."""
+    return bytes([kind]) + encode_varint(height) + encode_varint(length)
+
+
+def _bodies_parts(bodies):
+    """``bodies.bin``'s bytes, in the parts they join from."""
     for rec in bodies:
-        parts.append(bytes([rec.kind]))
-        parts.append(encode_varint(rec.height))
-        parts.append(encode_varint(len(rec.payload)))
-        parts.append(rec.payload)
-    return b"".join(parts)
+        yield _body_head(rec.kind, rec.height, len(rec.payload))
+        yield rec.payload
 
 
-def _kvs_file(kvs) -> bytes:
-    parts = []
+def _kvs_parts(kvs):
+    """``scripts.kvs``'s bytes, in the parts they join from."""
     for ref in sorted(kvs):
         script = kvs[ref]
-        parts.append(ref)
-        parts.append(encode_varint(len(script)))
-        parts.append(script)
-    return b"".join(parts)
+        yield ref
+        yield encode_varint(len(script))
+        yield script
+
+
+def _size(parts) -> int:
+    """The length of the bytes ``parts`` join to, without joining them."""
+    return sum(map(len, parts))
 
 
 @dataclass
@@ -192,19 +149,20 @@ class StoreModel:
     slack_stats: SlackStats | None = None
     _files: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def _file(self, name: str, serialize, records):
+    def _file(self, name: str, parts) -> bytes:
+        """File ``name``'s bytes, joined from ``parts`` on first use."""
         if name not in self._files:
-            self._files[name] = serialize(records)
+            self._files[name] = b"".join(parts)
         return self._files[name]
 
     def spine_bytes(self) -> bytes:
-        return self._file(SPINE_FILE, _spine_file, self.spine)
+        return self._file(SPINE_FILE, _spine_parts(self.spine))
 
     def bodies_bytes(self) -> bytes:
-        return self._file(BODIES_FILE, _bodies_file, self.bodies)
+        return self._file(BODIES_FILE, _bodies_parts(self.bodies))
 
     def kvs_bytes(self) -> bytes:
-        return self._file(KVS_FILE, _kvs_file, self.kvs)
+        return self._file(KVS_FILE, _kvs_parts(self.kvs))
 
     @property
     def dedup_effective(self) -> bool:
@@ -212,13 +170,18 @@ class StoreModel:
 
     @property
     def retained_bytes(self) -> int:
-        return len(self.spine_bytes()) + len(self.bodies_bytes()) + len(self.kvs_bytes())
+        """The three data files' sizes, measured from their parts until serialized."""
+        files = [
+            (SPINE_FILE, _spine_parts(self.spine)),
+            (BODIES_FILE, _bodies_parts(self.bodies)),
+            (KVS_FILE, _kvs_parts(self.kvs)),
+        ]
+        return sum(len(self._files[name]) if name in self._files else _size(parts) for name, parts in files)
 
     def manifest_text(self) -> str:
-        return self._file(MANIFEST_FILE, StoreModel._manifest, self)
-
-    def _manifest(self) -> str:
-        return Manifest(
+        if MANIFEST_FILE in self._files:
+            return self._files[MANIFEST_FILE]
+        self._files[MANIFEST_FILE] = text = Manifest(
             format=FORMAT_VERSION,
             magic=self.magic,
             tip=self.tip,
@@ -236,144 +199,275 @@ class StoreModel:
             sha256_bodies=hashlib.sha256(self.bodies_bytes()).hexdigest(),
             sha256_kvs=hashlib.sha256(self.kvs_bytes()).hexdigest(),
         ).text()
+        return text
 
 
 # ---------------------------------------------------------------------------
 # model construction
 
 
-_NO_TALLY = (0,) * len(fields(SlackStats))
+def _tally(records) -> list:
+    """The field-by-field sum of the records' slack tallies."""
+    return [sum(column) for column in zip(*(tally for _, tally in records))]
 
 
-def _slack_records(txs, stored, witness_at, height, readable: dict, locator: dict, codec, kept):
-    """The compact records of every tx of block ``height`` and the sum of
-    their tallies, then the same for the minimized record that keeps only
-    the positions in ``kept``.
-
-    A prevout becomes a local (height, position) reference only when a
-    reader decoding the body records in file order has that tx already:
-    at an earlier height when ``readable`` (height -> tx positions a
-    reader decodes there) holds it, at this height when it sits at an
-    earlier position of the same record.  A kept tx takes its compact
-    record unless a prevout resolved to a position the minimized record
-    drops; only then is it encoded again, with those positions left
-    unresolved.  Tallies are summed as they come.
-    """
-    drops = flagged = False  # drops: locate leaves the positions outside kept unresolved
-
-    def locate(tx_hash):
-        nonlocal flagged
-        pos = locator.get(tx_hash)
-        if pos is None:
-            return None
-        if pos[0] != height:
-            return pos if pos[1] in readable.get(pos[0], ()) else None
-        if pos[1] >= p:
-            return None
-        if pos[1] not in kept:
-            flagged = True
-            return None if drops else pos
-        return pos
-
-    records, kept_records = [], []
-    total = kept_total = _NO_TALLY
-    for p, tx in enumerate(txs):
-        flagged = False
-        record, tally = slack_record(tx, stored[p], witness_at[p], locate, codec)
-        records.append(record)
-        # a list: tuple(map(...)) resizes as it fills, and every 12-tuple it
-        # leaves would sit unused in the interpreter's tuple free list
-        total = list(map(add, total, tally))
-        if p in kept:
-            if flagged:
-                drops = True
-                record, tally = slack_record(tx, stored[p], witness_at[p], locate, codec)
-                drops = False
-            kept_records.append(record)
-            kept_total = list(map(add, kept_total, tally))
-    return records, total, kept_records, kept_total
-
-
-def _candidates(block: Block, height: int, kept, copath, index, readable: dict, config, codec):
-    """Yield the block's faithful records in tie-break order, each as (kind,
-    payload, its slack tally or None, the tx positions a reader decodes),
-    one at a time, so a caller that keeps only the best never holds all.
-    ``copath`` is the serialized co-path of the kept txs, or None when the
-    block has no minimized candidate.
-    """
-    txs = block.transactions
-    every = range(len(txs))
-    minimize = copath is not None
-    decoded = set(kept) if minimize else ()
-    # each tx's stored form and its witness offset, serialized once and shared
-    # by the raw record, the slack records and the minimized-stored record
+def _stored_forms(block: Block, codec) -> tuple:
+    """Each tx's stored form and its witness offset, and the raw record they
+    join to: serialized once per block and codec, and shared by every
+    pass's raw, slack and minimized-stored records."""
     stored, witness_at = [], []
-    for tx in txs:
+    for tx in block.transactions:
         raw, at = encode_with_witness_at(tx, codec)
         stored.append(raw)
         witness_at.append(at)
-    yield KIND_RAW, join_block(block, stored), None, every
-    if config.slack:
-        count = encode_varint(len(txs), block.tx_count_width)
-        records, tally, kept_records, kept_tally = _slack_records(
-            txs, stored, witness_at, height, readable, index.locator, codec, decoded
-        )
-        yield KIND_COMPACT, b"".join([count, *records]), tally, every
-        del records  # the minimized-slack record below needs only the kept txs' ones
-    if minimize:
-        # payload: 1-byte kept-tx form (0 = stored, 1 = slack) + co-path serialization
-        def minimized(tx_mode, records):
-            return bytes([tx_mode]) + serialize_kept(len(txs), list(zip(kept, records))) + copath
-
-        yield KIND_MINIMIZED, minimized(0, [stored[p] for p in kept]), None, decoded
-        if config.slack:
-            yield KIND_MINIMIZED, minimized(1, kept_records), kept_tally, decoded
+    return stored, witness_at, join_block(block, stored)
 
 
-def _encode_bodies(blocks, state, config, keep_from, minimized, codec):
-    """One full encoding pass; returns (body records, slack stats, the
-    tx positions a reader decodes at each height that has a record).
+def _stored_scripts(txs, positions) -> list:
+    """Every script field of the txs at ``positions``, in stored order."""
+    scripts = []
+    extend = scripts.extend
+    for i in sorted(positions):
+        tx = txs[i]
+        extend([txin.script for txin in tx.inputs])
+        extend([txout.script for txout in tx.outputs])
+        for stack in tx.witnesses:
+            extend(stack.items)
+    return scripts
+
+
+class _Pass:
+    """One encoding pass of one store model, fed its retained blocks in
+    height order.
 
     Per block the shortest candidate payload wins, the earliest in
-    :func:`_candidates` order on a tie.  Only the winner's slack tally
-    is counted, so the stats reflect exactly the records chosen.
+    :meth:`candidates` order on a tie.  Only the winner's slack tally
+    is counted, so the stats reflect exactly the records chosen.  The
+    pass keeps the tx positions a reader decodes at each height that has
+    a record (``readable``), its stats and its body file's size; the
+    records only with ``keep``; and, as the first pass of a dedup model,
+    the occurrences of every script field its records store (``sites``).
     """
-    readable: dict = {}  # height -> tx positions a reader decodes there
-    stats = SlackStats() if config.slack else None
-    bodies = []
-    for height in range(keep_from, len(blocks)):
-        kept, copath = minimized.get(height, (None, None))
-        if config.minimize and not kept:
-            continue
-        candidates = _candidates(
-            blocks[height], height, kept, copath, state.index, readable, config, codec
-        )
+
+    def __init__(self, config, retained: tuple, minimized: dict, index, codec, keep: bool):
+        self.config = config
+        self.threshold, self.keep_from = retained
+        self.minimized = minimized
+        self.index = index
+        self.codec = codec
+        self.kvs = {} if codec is IDENTITY_CODEC else codec.kvs
+        self.readable: dict = {}  # height -> tx positions a reader decodes there
+        self.stats = SlackStats() if config.slack else None
+        self.bodies = [] if keep else None
+        self.bodies_size = 0
+        self.sites = Counter() if config.dedup and codec is IDENTITY_CODEC else None
+
+    def encodes(self, height: int) -> bool:
+        """A retained height gets a record unless minimize finds nothing there to keep."""
+        return height >= self.keep_from and (not self.config.minimize or bool(self.minimized[height][0]))
+
+    def add(self, block: Block, height: int, forms: dict) -> None:
+        """Encode ``block``, taking its stored forms under this pass's codec
+        from ``forms`` (codec -> :func:`_stored_forms`), or adding them."""
+        if self.codec not in forms:
+            forms[self.codec] = _stored_forms(block, self.codec)
+        candidates = self.candidates(block, height, *forms[self.codec])
         # min() keeps the first of equal payloads
-        kind, payload, tally, readable[height] = min(candidates, key=lambda c: len(c[1]))
+        kind, payload, tally, self.readable[height] = min(candidates, key=lambda c: len(c[1]))
         if tally is not None:
-            stats.count(tally)
-        bodies.append(BodyRecord(height, kind, payload))
-    return bodies, stats, readable
+            self.stats.count(tally)
+        self.bodies_size += len(_body_head(kind, height, len(payload))) + len(payload)
+        if self.bodies is not None:
+            self.bodies.append(BodyRecord(height, kind, payload))
+        if self.sites is not None:
+            self.sites.update(_stored_scripts(block.transactions, self.readable[height]))
+
+    def candidates(self, block: Block, height: int, stored: list, witness_at: list, raw: bytes):
+        """Yield the block's faithful records in tie-break order, each as
+        (kind, payload, its slack tally or None, the tx positions a reader
+        decodes), given its :func:`_stored_forms`.
+
+        A minimized block's kept txs are slack-encoded first.  A kept tx
+        that left no prevout unresolved has the same record in the compact
+        candidate, and every other tx's record is at least its
+        :func:`slack_floor` long.  The compact candidate is built only when
+        that lower bound on its size is below the raw record's and no
+        longer than either minimized one, since otherwise it cannot win.
+        """
+        txs = block.transactions
+        every = range(len(txs))
+        yield KIND_RAW, raw, None, every
+        count = encode_varint(len(txs), block.tx_count_width)
+
+        def compact(records):
+            return KIND_COMPACT, b"".join([count, *(record for record, _ in records)]), _tally(records), every
+
+        def slack_records(positions, decoded):
+            return self.slack_records(txs, stored, witness_at, positions, height, decoded)
+
+        # the kept positions and their serialized co-path, when minimize drops a tx here
+        kept, copath = self.minimized.get(height, (None, None))
+        if copath is None:
+            if self.config.slack:
+                yield compact(slack_records(every, every)[0])
+            return
+
+        decoded = set(kept)
+
+        def minimized(tx_mode, tx_records):
+            # payload: 1-byte kept-tx form (0 = stored, 1 = slack) + co-path serialization
+            return bytes([tx_mode]) + serialize_kept(len(txs), list(zip(kept, tx_records))) + copath
+
+        kept_stored = minimized(0, [stored[p] for p in kept])
+        if not self.config.slack:
+            yield KIND_MINIMIZED, kept_stored, None, decoded
+            return
+        kept_records, unresolved = slack_records(kept, decoded)
+        kept_slack = minimized(1, [record for record, _ in kept_records])
+        shared = {p: rec for p, rec in zip(kept, kept_records) if p not in unresolved}
+        others = [p for p in every if p not in shared]
+        floor = len(count) + _size(record for record, _ in shared.values())
+        floor += sum(slack_floor(txs[p], stored[p]) for p in others)
+        if floor < len(raw) and floor <= min(len(kept_stored), len(kept_slack)):
+            shared.update(zip(others, slack_records(others, every)[0]))
+            yield compact([shared[p] for p in every])
+        yield KIND_MINIMIZED, kept_stored, None, decoded
+        yield KIND_MINIMIZED, kept_slack, _tally(kept_records), decoded
+
+    def slack_records(self, txs, stored, witness_at, positions, height: int, decoded) -> tuple:
+        """The (record, tally) of the tx at each of ``positions``
+        (ascending) of block ``height``, for a body record whose reader
+        decodes the positions ``decoded`` of this block, and the positions
+        whose record left a prevout in this block outside ``decoded``
+        unresolved.
+
+        A prevout becomes a local (height, position) reference only when a
+        reader decoding the body records in file order has that tx
+        already: at an earlier height when ``readable`` holds it, at this
+        height when it sits at an earlier position in ``decoded``.
+        """
+        locator, readable, codec = self.index.locator, self.readable, self.codec
+        unresolved = set()
+
+        def locate(tx_hash):
+            pos = locator.get(tx_hash)
+            if pos is None:
+                return None
+            if pos[0] != height:
+                return pos if pos[1] in readable.get(pos[0], ()) else None
+            if pos[1] >= p:
+                return None
+            if pos[1] not in decoded:
+                unresolved.add(p)
+                return None
+            return pos
+
+        records = []
+        for p in positions:
+            records.append(slack_record(txs[p], stored[p], witness_at[p], locate, codec))
+        return records, unresolved
 
 
-def _script_sites(blocks, readable) -> Counter:
-    """Occurrences of every script field the chosen body records store."""
-    scripts = []  # in stored order, so the counter's first-seen order is the stores'
-    extend = scripts.extend
-    for height, positions in readable.items():
-        txs = blocks[height].transactions
-        for i in sorted(positions):
-            tx = txs[i]
-            extend([txin.script for txin in tx.inputs])
-            extend([txout.script for txout in tx.outputs])
-            for stack in tx.witnesses:
-                extend(stack.items)
-    return Counter(scripts)
+def _sweep(blocks, passes) -> None:
+    """Feed each height's block to every pass that encodes it, indexing
+    ``blocks`` once for each such height."""
+    for height in range(len(blocks)):
+        takers = [p for p in passes if p.encodes(height)]
+        if takers:
+            block = blocks[height]
+            forms = {}  # shared by the passes of one codec
+            for p in takers:
+                p.add(block, height, forms)
+            del block, forms  # so one decoded block is alive at a time
 
 
-def _spine(entries: list, headers: dict) -> list:
+def _retained(n_blocks: int, state: ChainState, config) -> tuple:
+    """``config``'s prune threshold, or None, and the first height whose body it keeps."""
+    tip = n_blocks - 1
+    if config.prune is None or tip < 0:
+        return None, 0
+    cdf = None
+    if config.prune.mode == "quantile":
+        from .analytics import lifespan_cdf
+
+        cdf = lifespan_cdf(state.spent_log, state.utxos, (0, tip), tip)
+    threshold = config.prune.resolve(cdf)
+    return threshold, prune_keep_from(tip, threshold)
+
+
+def _encode(blocks, state: ChainState, configs, keep: bool) -> list:
+    """The winning encoding pass of each of ``configs``, none raw-only.
+
+    The passes advance in lockstep: one sweep over ``blocks`` feeds every
+    first pass, and one more feeds the dedup passes.  A dedup model
+    keeps its dedup pass only if that pass's exact body file + KVS bytes
+    are a net saving over its first pass's body file.
+    """
+    retained = [_retained(len(blocks), state, config) for config in configs]
+    # height -> (ascending positions of txs that still carry UTXOs, serialized
+    # co-path of them or None when none is dropped); the co-path depends only
+    # on the txids, so every minimize pass shares it
+    minimized = {}
+    starts = [keep_from for config, (_, keep_from) in zip(configs, retained) if config.minimize]
+    if starts:
+        unspent = {op.tx_hash for op in state.utxos}
+        for height in range(min(starts), len(blocks)):
+            ids = state.index.txids[height]
+            kept = [i for i, t in enumerate(ids) if t in unspent]
+            drops = 0 < len(kept) < len(ids)
+            minimized[height] = (kept, serialize_copath(copath_nodes(ids, kept)) if drops else None)
+        del unspent  # free its table before the encoding passes
+
+    passes = [
+        _Pass(config, span, minimized if config.minimize else {}, state.index, IDENTITY_CODEC, keep)
+        for config, span in zip(configs, retained)
+    ]
+    _sweep(blocks, passes)
+
+    dedup = []  # (position in passes, the dedup pass of that model)
+    for i, first in enumerate(passes):
+        if first.sites is not None:
+            plan = dedup_scripts(first.sites)
+            first.sites = None
+            if plan.rewrite:
+                # the codec keeps each rewritten script with its reference, so
+                # the plan, and its own set of them, is freed before the sweep
+                codec = RefScriptCodec(plan.rewrite, plan.kvs)
+                span = (first.threshold, first.keep_from)
+                dedup.append((i, _Pass(first.config, span, first.minimized, state.index, codec, keep)))
+            del plan
+    _sweep(blocks, [second for _, second in dedup])
+    for i, second in dedup:
+        if second.bodies_size + _size(_kvs_parts(second.kvs)) < passes[i].bodies_size:
+            passes[i] = second
+    return passes
+
+
+def _spine(entries: list, headers) -> list:
     """A spine record per chain spine entry, with ``headers[height]`` where it has one."""
     return [SpineRecord(entry.block_hash, headers.get(height)) for height, entry in enumerate(entries)]
+
+
+def _sequence(blocks, state: ChainState | None) -> tuple:
+    """(``blocks`` as a sequence, the chain state, built from them when None)."""
+    if not isinstance(blocks, Sequence):
+        blocks = list(blocks)
+    return blocks, build_chain(blocks) if state is None else state
+
+
+def _headers(blocks) -> list:
+    """Each height's block header: as a frame index recorded it, or the listed block's."""
+    return blocks.headers if isinstance(blocks, FrameIndex) else [block.header for block in blocks]
+
+
+def _wire(blocks, height: int) -> bytes:
+    """Block ``height``'s wire bytes: its frame's body, read again, or the listed block encoded."""
+    return blocks.body(height) if isinstance(blocks, FrameIndex) else encode_block(blocks[height])
+
+
+def _wire_sizes(blocks) -> list:
+    """Each height's block wire size: its frame's, or the listed block's once encoded."""
+    return blocks.sizes if isinstance(blocks, FrameIndex) else [len(encode_block(block)) for block in blocks]
 
 
 def build_store_model(
@@ -391,67 +485,28 @@ def build_store_model(
     Requested dedup is dropped (recorded in the manifest) unless its
     exact effect on body file + KVS bytes is a net saving.
 
-    Under a :meth:`~StrategyConfig.raw_only` config a retained block's
-    record is its wire bytes and its spine header their first 80, so with
-    ``state`` given, ``blocks`` may hold those bytes, as frames do.
+    ``blocks`` is the chain's blocks by height: a list, or a
+    :class:`~ledgerpack.wire.FrameIndex`, which decodes a frame each time
+    it is indexed.  Each encoding pass indexes each height it encodes
+    once and drops that block before the next.  Under a
+    :meth:`~StrategyConfig.raw_only` config a retained block's record is
+    its wire bytes, which a frame index reads without decoding.
     """
-    blocks = list(blocks)
-    if state is None:
-        state = build_chain(blocks)
+    blocks, state = _sequence(blocks, state)
     tip = len(blocks) - 1
-
-    threshold = None
-    keep_from = 0
-    if config.prune is not None and tip >= 0:
-        cdf = None
-        if config.prune.mode == "quantile":
-            from .analytics import lifespan_cdf
-
-            cdf = lifespan_cdf(state.spent_log, state.utxos, (0, tip), tip)
-        threshold = config.prune.resolve(cdf)
-        keep_from = prune_keep_from(tip, threshold)
-
+    entries = state.index.spine[: tip + 1]
+    headers = _headers(blocks)
     if config.raw_only():
-        retained = enumerate(blocks[keep_from:], keep_from)
-        bodies = [BodyRecord(h, KIND_RAW, b if type(b) is bytes else encode_block(b)) for h, b in retained]
-        spine = _spine(state.index.spine[: tip + 1], {r.height: decode_header(r.payload) for r in bodies})
+        threshold, keep_from = _retained(len(blocks), state, config)
+        bodies = [BodyRecord(h, KIND_RAW, _wire(blocks, h)) for h in range(keep_from, len(blocks))]
+        spine = _spine(entries, {rec.height: headers[rec.height] for rec in bodies})
         return StoreModel(magic, tip, keep_from, config, threshold, spine, bodies, {}, None)
 
-    # height -> (ascending positions of txs that still carry UTXOs, serialized
-    # co-path of them or None when none is dropped); the co-path depends only
-    # on the txids, so both encoding passes share it
-    minimized = {}
-    if config.minimize:
-        unspent = {op.tx_hash for op in state.utxos}
-        for height in range(keep_from, len(blocks)):
-            ids = state.index.txids[height]
-            kept = [i for i, t in enumerate(ids) if t in unspent]
-            drops = 0 < len(kept) < len(ids)
-            minimized[height] = (kept, serialize_copath(copath_nodes(ids, kept)) if drops else None)
-        del unspent  # free its table before the encoding passes
-
-    bodies, stats, readable = _encode_bodies(
-        blocks, state, config, keep_from, minimized, IDENTITY_CODEC
+    (chosen,) = _encode(blocks, state, [config], keep=True)
+    spine = _spine(entries, {height: headers[height] for height in chosen.readable})
+    return StoreModel(
+        magic, tip, chosen.keep_from, config, chosen.threshold, spine, chosen.bodies, chosen.kvs, chosen.stats
     )
-
-    kvs: dict = {}
-    if config.dedup:
-        plan = dedup_scripts(_script_sites(blocks, readable))
-        # the codec keeps each rewritten script with its reference, so the
-        # plan, and its own set of them, is freed before the second pass
-        codec = RefScriptCodec(plan.rewrite, plan.kvs) if plan.rewrite else None
-        del plan
-        if codec is not None:
-            # the same heights get a record, so ``readable`` keeps its keys
-            bodies_dedup, stats_dedup, _ = _encode_bodies(
-                blocks, state, config, keep_from, minimized, codec
-            )
-            with_dedup = len(_bodies_file(bodies_dedup)) + len(_kvs_file(codec.kvs))
-            if with_dedup < len(_bodies_file(bodies)):
-                bodies, stats, kvs = bodies_dedup, stats_dedup, codec.kvs
-
-    spine = _spine(state.index.spine[: tip + 1], {height: blocks[height].header for height in readable})
-    return StoreModel(magic, tip, keep_from, config, threshold, spine, bodies, kvs, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -469,51 +524,6 @@ def write_store(model: StoreModel, path: str) -> None:
     ]:
         with open(os.path.join(path, name), "wb") as fh:
             fh.write(data)
-
-
-def _read_value(f, text: str):
-    """Field ``f``'s value, only if writing it back gives ``text`` again."""
-    try:
-        value = f.metadata["read"](text)
-    except ValueError as exc:
-        raise ValueError(f"{f.name}: {exc}") from None
-    written = f.metadata["write"](value)
-    if written != text:
-        raise ValueError(f"{f.name} {text!r} is not its written form {written!r}")
-    return value
-
-
-def _parse_manifest(text: str) -> Manifest:
-    head, sep, tail = text.rpartition("checksum=")
-    if not sep or not head.endswith("\n"):
-        raise StoreError("manifest is missing its checksum line")
-    want = hashlib.sha256(head.encode("utf-8")).hexdigest()
-    if tail.strip() != want:
-        raise StoreError("manifest checksum mismatch")
-    values = {}
-    for lineno, line in enumerate(head.splitlines(), 1):
-        if not line.strip():
-            continue
-        if "=" not in line:
-            raise StoreError(f"manifest line {lineno} is not key=value: {line!r}")
-        key, _, value = line.partition("=")
-        values[key] = value
-    missing = {f.name for f in fields(Manifest)} - set(values)
-    if missing:
-        raise StoreError(f"manifest is missing keys: {sorted(missing)}")
-    try:
-        parsed = {f.name: _read_value(f, values[f.name]) for f in fields(Manifest)}
-        manifest = Manifest(**parsed)
-    except ValueError as exc:
-        raise StoreError(f"manifest has a malformed value: {exc}") from exc
-    if manifest.format != FORMAT_VERSION:
-        raise StoreError(
-            f"unsupported store format {manifest.format} (this build reads {FORMAT_VERSION})"
-        )
-    # no extra, repeated or reordered line, blank line or padding
-    if manifest.text() != text:
-        raise StoreError("manifest is not in its written form")
-    return manifest
 
 
 @dataclass
@@ -621,7 +631,7 @@ def _parse_view(manifest: Manifest, read) -> StoreView:
 def read_store(path: str) -> StoreView:
     """Parse a store directory; structural checks only, no hash checking."""
     try:
-        manifest = _parse_manifest(_read_file(path, MANIFEST_FILE).decode("ascii"))
+        manifest = parse_manifest(_read_file(path, MANIFEST_FILE).decode("ascii"))
     except UnicodeDecodeError as exc:
         raise StoreError(f"store manifest is not ASCII text: {exc}") from exc
     return _parse_view(manifest, lambda name: _read_file(path, name))
@@ -768,7 +778,7 @@ def integrity_check(path: str) -> IntegrityReport:
     report = IntegrityReport()
 
     try:
-        manifest = _parse_manifest(_read_file(path, MANIFEST_FILE).decode("ascii"))
+        manifest = parse_manifest(_read_file(path, MANIFEST_FILE).decode("ascii"))
         report.add("manifest", None, True)
     except (UnicodeDecodeError, StoreError) as exc:
         report.add("manifest", None, False, str(exc))
@@ -897,21 +907,30 @@ def estimate_footprint(
 ) -> StorageReport:
     """Exact retained-bytes report for the strategy set and its singles.
 
-    Builds the same store models write_store would persist and measures
-    their serialized size, so estimate and compact always agree.
+    Measures the store models write_store would persist, so estimate and
+    compact always agree, without keeping their records.  A raw-only
+    model's size comes from each block's wire size; the other models are
+    encoded in lockstep, indexing each height once per sweep.
     """
-    blocks = list(blocks)
-    if state is None:
-        state = build_chain(blocks)
-
-    baseline = build_store_model(blocks, state, StrategyConfig()).retained_bytes
-    rows = [ReportRow("baseline", baseline, 0.0)]
-
+    blocks, state = _sequence(blocks, state)
     singles = [StrategyConfig(**{name: getattr(config, name)}) for name in config.enabled()]
     combined = [config] if len(singles) > 1 else []
-    for cfg in singles + combined:
-        # keep only the size, so each model and its serialized files are
-        # freed before the next one is built
-        retained = build_store_model(blocks, state, cfg).retained_bytes
-        rows.append(ReportRow(cfg.label(), retained, reduction_percent(baseline, retained)))
-    return StorageReport(baseline, rows)
+    configs = [StrategyConfig(), *singles, *combined]
+    encoded = iter(_encode(blocks, state, [cfg for cfg in configs if not cfg.raw_only()], keep=False))
+    entries = state.index.spine[: len(blocks)]
+    headers = _headers(blocks)
+    wire_sizes = _wire_sizes(blocks)
+
+    retained = []
+    for cfg in configs:
+        if cfg.raw_only():
+            _, keep_from = _retained(len(blocks), state, cfg)
+            heights = range(keep_from, len(blocks))
+            bodies = sum(len(_body_head(KIND_RAW, h, wire_sizes[h])) + wire_sizes[h] for h in heights)
+        else:
+            chosen = next(encoded)
+            heights = chosen.readable
+            bodies = chosen.bodies_size + _size(_kvs_parts(chosen.kvs))
+        retained.append(_size(_spine_parts(_spine(entries, {h: headers[h] for h in heights}))) + bodies)
+    rows = [ReportRow(cfg.label(), size, reduction_percent(retained[0], size)) for cfg, size in zip(configs, retained)]
+    return StorageReport(retained[0], rows)

@@ -15,7 +15,8 @@ Three independent levers plus an optional script dedup:
 
 Everything here is pure; file layout lives in `store`.  The store runs
 ``copath_nodes``, ``serialize_kept``/``serialize_copath``,
-``slack_record`` and the one slack decoder, ``slack_decode_tx``.
+``slack_record`` with its lower bound ``slack_floor``, and the one slack
+decoder, ``slack_decode_tx``.
 ``minimize_block``, ``verify_tx_in_minimized``, ``slack_encode`` and
 ``slack_decode`` are library views over those same paths.
 """
@@ -562,6 +563,19 @@ def slack_record(tx: Transaction, stored: bytes, witness_at: int, locate, codec=
         )  # fmt: skip
         return record, tally
     return _TAG_PASSTHROUGH_BYTE + stored, (1, 1, 0, 0, 0, 0, 0, 0, 0, 0, bytes_in, 1 + len(stored))
+
+
+def slack_floor(tx: Transaction, stored: bytes) -> int:
+    """A lower bound on the length of any :func:`slack_record` of ``tx``
+    whose stored form is ``stored``, whatever its prevouts resolve to.
+
+    The compact form adds a tag byte and the bitmap, and at most drops
+    the version, the segwit marker and the lock time (10 bytes), a
+    coinbase prevout and default sequence per input (40) and all but one
+    byte of each output's value (7); every other field is the stored one.
+    """
+    n_in = len(tx.inputs)
+    return len(stored) + 1 + (4 + 3 * n_in + 7) // 8 - 10 - 40 * n_in - 7 * len(tx.outputs)
 
 
 def slack_encode(tx: Transaction, locator=None, stats: SlackStats | None = None, codec=IDENTITY_CODEC) -> bytes:

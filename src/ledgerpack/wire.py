@@ -35,6 +35,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from collections import namedtuple
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .errors import DecodeError, EncodeError, FramingError, TruncationError
@@ -643,6 +644,45 @@ def read_frames(source, magic: int = MAINNET_MAGIC):
 def read_block_stream(source, magic: int = MAINNET_MAGIC):
     """Yield (Block, file_offset) for each frame :func:`read_frames` yields."""
     return ((decode_block(body), offset) for body, offset in read_frames(source, magic))
+
+
+class FrameIndex(Sequence):
+    """The blocks of a block file by height, decoded on demand.
+
+    :meth:`add` records each frame, in height order, as a pass over
+    :func:`read_frames` yields it: its body's offset and size and its
+    block's header.  ``len()`` is the number of frames recorded, and
+    ``[height]`` reads that frame's body from ``source`` again and decodes
+    it, so a reader that drops each block before it takes the next holds
+    one at a time.  ``source`` is the caller's seekable binary file,
+    which must stay open while the index is read.
+    """
+
+    def __init__(self, source):
+        self._source = source
+        self.offsets: list[int] = []
+        self.sizes: list[int] = []
+        self.headers: list[BlockHeader] = []
+
+    def add(self, frame_offset: int, body: bytes, header: BlockHeader) -> None:
+        self.offsets.append(frame_offset + 8)  # past the magic and length
+        self.sizes.append(len(body))
+        self.headers.append(header)
+
+    def __len__(self) -> int:
+        return len(self.sizes)
+
+    def body(self, height: int) -> bytes:
+        """Frame ``height``'s body bytes, read again."""
+        size = self.sizes[height]
+        self._source.seek(self.offsets[height])
+        body = self._source.read(size)
+        if len(body) != size:
+            raise TruncationError(f"frame {height} lost bytes since it was indexed", offset=self.offsets[height])
+        return body
+
+    def __getitem__(self, height: int) -> Block:
+        return decode_block(self.body(height))
 
 
 def read_block_file(path, magic: int = MAINNET_MAGIC) -> list[Block]:

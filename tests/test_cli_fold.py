@@ -1,17 +1,20 @@
 """Every chain command takes one fold over the block file.
 
-- Each command decodes each frame exactly once (a spy on every binding
-  of ``decode_block``), so no pass decodes the chain a second time.
-- ``parse``, the ``stats`` reports and ``compact`` without a strategy
-  that rewrites bodies hold one decoded block at a time: their
-  ``tracemalloc`` peak on an archive-shaped chain stays within a small
-  multiple of the file size.
+- The connect pass decodes each frame exactly once (a spy on every
+  binding of ``decode_block``).  Reports and raw-only configs decode
+  nothing more; a strategy model indexes the frames and decodes a frame
+  once more per sweep that encodes its height, never the whole chain
+  into a list.
+- Every chain command holds one decoded block at a time: none is alive
+  when the next frame is decoded, and the ``tracemalloc`` peak on an
+  archive-shaped chain stays within a small multiple of the file size.
 - A raw-only store built from the frame bytes equals the store built
   from decoded blocks, file for file and byte for byte.
 - A block file with a fault gives no report and writes no store, and the
   first faulty frame in file order is the one reported.
 """
 
+import gc
 import io
 import os
 import tracemalloc
@@ -23,8 +26,8 @@ from blockkit import build_blocks, coinbase_tx, spend_tx
 from ledgerpack import analytics, cli, store, wire  # noqa: F401  (loaded before any trace)
 from ledgerpack.chain import build_chain
 from ledgerpack.fixture import ChainPlan, gen_chain
-from ledgerpack.strategies import PruneConfig, StrategyConfig
-from ledgerpack.wire import OutPoint, encode_block, frame_block, read_block_stream, read_frames
+from ledgerpack.strategies import PruneConfig, StrategyConfig, dedup_scripts
+from ledgerpack.wire import OutPoint, decode_block, encode_block, frame_block, read_block_stream, read_frames
 
 from test_golden import CHAINS
 
@@ -63,15 +66,42 @@ def _commands(chain_path, tmp_path):
     out = str(tmp_path / "report.csv")
     for report in REPORTS:
         yield [*report, chain_path, "--output", out]
-    for flags in STRATEGY_FLAGS:
+    for flags in [*STRATEGY_FLAGS, ["--dedup-scripts"]]:
         yield ["estimate", chain_path, *flags, "--output", out]
         yield ["compact", chain_path, str(tmp_path / "store"), *flags, "--output", out]
 
 
+def _expected_decodes(data):
+    """(command, strategy flags) -> how often each frame body is decoded:
+    once by the connect pass, and once more by each model sweep that
+    encodes its height."""
+    bodies = [body for body, _ in read_frames(io.BytesIO(data))]
+    frames = Counter(bodies)
+    blocks = [decode_block(body) for body in bodies]
+    state = build_chain(blocks)
+    unspent = {op.tx_hash for op in state.utxos}
+    keeping = Counter(body for body, ids in zip(bodies, state.index.txids) if any(t in unspent for t in ids))
+    # a dedup model sweeps again when its plan rewrites a script of the chain
+    dedup_sweeps = 1 + bool(dedup_scripts(blocks).rewrite)
+    return {
+        # estimate's slack model encodes every height; compact's minimize
+        # model only the heights that keep a tx
+        ("estimate", "--minimize --slack"): frames + frames,
+        ("compact", "--minimize --slack"): frames + keeping,
+        ("estimate", "--dedup-scripts"): Counter({body: 1 + dedup_sweeps for body in bodies}),
+        ("compact", "--dedup-scripts"): Counter({body: 1 + dedup_sweeps for body in bodies}),
+    }, frames
+
+
 def test_each_command_decodes_each_frame_once(small_chain, tmp_path, monkeypatch):
+    """The connect pass decodes each frame once; a report or a raw-only
+    config decodes nothing more, and a strategy model decodes a frame
+    once per sweep that encodes its height, so one block is alive at a time."""
     chain_path, data = small_chain
-    frames = Counter(body for body, _ in read_frames(io.BytesIO(data)))
+    expected, frames = _expected_decodes(data)
     assert len(frames) == 30
+    assert expected["estimate", "--dedup-scripts"] == Counter({body: 3 for body in frames})
+    assert expected["compact", "--minimize --slack"] != frames + frames
     decoded = Counter()
     real = wire.decode_block
 
@@ -85,7 +115,29 @@ def test_each_command_decodes_each_frame_once(small_chain, tmp_path, monkeypatch
     for argv in _commands(chain_path, tmp_path):
         decoded.clear()
         assert cli.main(argv) == 0, argv
-        assert decoded == frames, argv
+        flags = " ".join(arg for arg in argv if arg.startswith("--") and arg != "--output")
+        assert decoded == expected.get((argv[0], flags), frames), argv
+
+
+def test_one_decoded_block_is_alive_at_a_time(small_chain, tmp_path, monkeypatch):
+    """When any chain command decodes a frame, no block it decoded before
+    is still alive: every loop over blocks drops each one before it takes
+    the next."""
+    chain_path, _ = small_chain
+    real = wire.decode_block
+    alive = []
+
+    def spy(body, codec=wire.IDENTITY_CODEC):
+        alive.append(sum(type(obj) is wire.Block for obj in gc.get_objects()))
+        return real(body, codec)
+
+    for module in (wire, cli, store):
+        if hasattr(module, "decode_block"):
+            monkeypatch.setattr(module, "decode_block", spy)
+    for argv in _commands(chain_path, tmp_path):
+        alive.clear()
+        assert cli.main(argv) == 0, argv
+        assert len(alive) >= 30 and set(alive) == {0}, argv
 
 
 # the benchmark's archive workload: ten txs per block, spent two blocks on
@@ -99,6 +151,9 @@ PEAK_BOUNDS = [
     (["stats", "lifespan"], 4),
     (["stats", "dedup"], 3),
     (["compact"], 6),
+    # the strategy models index the frames, so they hold no decoded chain
+    (["compact", "--minimize", "--slack"], 3),
+    (["estimate", "--minimize", "--slack"], 3),
 ]
 
 
@@ -111,7 +166,7 @@ def archive_chain(tmp_path_factory):
 @pytest.mark.parametrize("command, bound", PEAK_BOUNDS, ids=lambda c: "-".join(c) if isinstance(c, list) else str(c))
 def test_peak_memory_follows_the_chain_state(archive_chain, tmp_path, command, bound):
     chain_path, size = archive_chain
-    store_dir = [str(tmp_path / "store")] if command == ["compact"] else []
+    store_dir = [str(tmp_path / "store")] if command[0] == "compact" else []
     argv = [*command, chain_path, *store_dir, "--output", str(tmp_path / "report.csv")]
     tracemalloc.start()
     try:
