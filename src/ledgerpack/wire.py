@@ -654,8 +654,9 @@ class FrameIndex(Sequence):
     block's header.  ``len()`` is the number of frames recorded, and
     ``[height]`` reads that frame's body from ``source`` again and decodes
     it, so a reader that drops each block before it takes the next holds
-    one at a time.  ``source`` is the caller's seekable binary file,
-    which must stay open while the index is read.
+    one at a time; a frame cut short or given another header since it
+    was recorded raises.  ``source`` is the caller's seekable binary
+    file, which must stay open while the index is read.
     """
 
     def __init__(self, source):
@@ -682,7 +683,10 @@ class FrameIndex(Sequence):
         return body
 
     def __getitem__(self, height: int) -> Block:
-        return decode_block(self.body(height))
+        block = decode_block(self.body(height))
+        if block.header != self.headers[height]:
+            raise DecodeError(f"frame {height} changed since it was indexed", offset=self.offsets[height])
+        return block
 
 
 def read_block_file(path, magic: int = MAINNET_MAGIC) -> list[Block]:

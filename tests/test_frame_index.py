@@ -2,11 +2,12 @@
 
 ``wire.FrameIndex`` records each frame's body offset, size and header
 as the connect pass reads the block file, and decodes a frame again each
-time it is indexed.  For both golden chains and all 16 strategy subsets
-(plus a quantile prune), ``build_store_model`` and ``estimate_footprint``
-over the index must give the very store files and report rows they give
-over the decoded list.  A model's ``retained_bytes``, measured from its
-records before any file is joined, must equal the joined files' length.
+time it is indexed; a frame cut or rewritten since then is an error.
+For both golden chains and all 16 strategy subsets (plus a quantile
+prune), ``build_store_model`` and ``estimate_footprint`` over the index
+must give the very store files and report rows they give over the
+decoded list.  A model's ``retained_bytes``, measured from its records
+before any file is joined, must equal the joined files' length.
 """
 
 import io
@@ -14,7 +15,7 @@ import io
 import pytest
 
 from ledgerpack.chain import ChainState, build_chain
-from ledgerpack.errors import TruncationError
+from ledgerpack.errors import DecodeError, TruncationError
 from ledgerpack.fixture import gen_chain
 from ledgerpack.store import build_store_model, estimate_footprint
 from ledgerpack.strategies import PruneConfig, StrategyConfig
@@ -75,6 +76,17 @@ def test_the_index_is_a_sequence_of_the_chains_blocks(chain):
     assert encode_block(frames[-1]) == encode_block(blocks[-1])
     with pytest.raises(IndexError):
         frames[len(blocks)]
+
+
+def test_a_frame_rewritten_after_indexing_is_an_error(chain):
+    data, _, _ = chain
+    source = io.BytesIO(data)
+    frames, _ = index_chain(data, source)
+    source.seek(frames.offsets[5] + 76)  # the header's nonce
+    source.write(b"\xff\xff\xff\xff")
+    assert frames[4].header == frames.headers[4]
+    with pytest.raises(DecodeError, match="changed since it was indexed"):
+        frames[5]
 
 
 def test_a_frame_cut_after_indexing_is_an_error(chain):
