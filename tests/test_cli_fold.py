@@ -96,7 +96,7 @@ def _expected_decodes(data):
 def test_each_command_decodes_each_frame_once(small_chain, tmp_path, monkeypatch):
     """The connect pass decodes each frame once; a report or a raw-only
     config decodes nothing more, and a strategy model decodes a frame
-    once per sweep that encodes its height, so one block is alive at a time."""
+    once per sweep that encodes its height."""
     chain_path, data = small_chain
     expected, frames = _expected_decodes(data)
     assert len(frames) == 30
