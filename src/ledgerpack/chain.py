@@ -130,8 +130,3 @@ def build_chain(blocks) -> ChainState:
     for block in blocks:
         state.connect(block)
     return state
-
-
-def locate_tx(index: ChainIndex, tx_hash: bytes) -> tuple[int, int] | None:
-    """Confirmed (height, tx_index) of a txid, or None if unknown."""
-    return index.locator.get(tx_hash)

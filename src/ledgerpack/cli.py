@@ -132,6 +132,8 @@ def _build(args, config, build):
     # only a quantile threshold reads the spends
     state = ChainState(spent_log=[] if config.prune and config.prune.mode == "quantile" else None)
     with open(args.chain, "rb") as fh:
+        if not fh.seekable():  # fail before the connect pass reads it all
+            raise OSError(f"{args.chain}: not seekable; this command reads the chain twice and needs a seekable file")
         frames = FrameIndex(fh)
         deque(_connected(args, state, frames), maxlen=0)
         return build(frames, state, config)

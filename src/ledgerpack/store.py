@@ -29,8 +29,8 @@ from __future__ import annotations
 import hashlib
 import os
 from collections import Counter
-from collections.abc import Sequence
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .chain import ChainState, build_chain
 from .errors import DecodeError, LedgerError, StoreError, TruncationError
@@ -136,6 +136,9 @@ class StoreModel:
 
     Each file is serialized on first use and reused after that, so any
     change to the records must come before the first read of the bytes.
+    ``bodies_size`` is the body file's size, measured by the pass that
+    chose the records, so :attr:`retained_bytes` sees no later change to
+    them.
     """
 
     magic: int
@@ -147,6 +150,7 @@ class StoreModel:
     bodies: list = field(default_factory=list)
     kvs: dict = field(default_factory=dict)
     slack_stats: SlackStats | None = None
+    bodies_size: int = 0
     _files: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def _file(self, name: str, parts) -> bytes:
@@ -170,13 +174,8 @@ class StoreModel:
 
     @property
     def retained_bytes(self) -> int:
-        """The three data files' sizes, measured from their parts until serialized."""
-        files = [
-            (SPINE_FILE, _spine_parts(self.spine)),
-            (BODIES_FILE, _bodies_parts(self.bodies)),
-            (KVS_FILE, _kvs_parts(self.kvs)),
-        ]
-        return sum(len(self._files[name]) if name in self._files else _size(parts) for name, parts in files)
+        """The three data files' sizes, measured without joining them."""
+        return _size(_spine_parts(self.spine)) + self.bodies_size + _size(_kvs_parts(self.kvs))
 
     def manifest_text(self) -> str:
         if MANIFEST_FILE in self._files:
@@ -443,31 +442,47 @@ def _encode(blocks, state: ChainState, configs, keep: bool) -> list:
     return passes
 
 
-def _spine(entries: list, headers) -> list:
-    """A spine record per chain spine entry, with ``headers[height]`` where it has one."""
-    return [SpineRecord(entry.block_hash, headers.get(height)) for height, entry in enumerate(entries)]
+def _models(blocks, state: ChainState | None, configs, magic: int, keep: bool):
+    """Yield the store model of each of ``configs``, in order, with its
+    body records only if ``keep``.
 
-
-def _sequence(blocks, state: ChainState | None) -> tuple:
-    """(``blocks`` as a sequence, the chain state, built from them when None)."""
-    if not isinstance(blocks, Sequence):
+    A raw-only model's records are the blocks' wire bytes, which a frame
+    index reads without decoding; without ``keep`` they are measured from
+    its frame sizes.  The other models come from :func:`_encode`.  A
+    caller that drops each model before taking the next holds one at a
+    time.
+    """
+    indexed = isinstance(blocks, FrameIndex)
+    if not indexed:
         blocks = list(blocks)
-    return blocks, build_chain(blocks) if state is None else state
-
-
-def _headers(blocks) -> list:
-    """Each height's block header: as a frame index recorded it, or the listed block's."""
-    return blocks.headers if isinstance(blocks, FrameIndex) else [block.header for block in blocks]
-
-
-def _wire(blocks, height: int) -> bytes:
-    """Block ``height``'s wire bytes: its frame's body, read again, or the listed block encoded."""
-    return blocks.body(height) if isinstance(blocks, FrameIndex) else encode_block(blocks[height])
-
-
-def _wire_sizes(blocks) -> list:
-    """Each height's block wire size: its frame's, or the listed block's once encoded."""
-    return blocks.sizes if isinstance(blocks, FrameIndex) else [len(encode_block(block)) for block in blocks]
+    if state is None:
+        state = build_chain(blocks)
+    tip = len(blocks) - 1
+    entries = state.index.spine[: tip + 1]
+    headers = blocks.headers if indexed else [block.header for block in blocks]
+    encoded = iter(_encode(blocks, state, [config for config in configs if not config.raw_only()], keep))
+    for config in configs:
+        if config.raw_only():
+            threshold, keep_from = _retained(len(blocks), state, config)
+            heights = range(keep_from, len(blocks))
+            if keep:
+                bodies = [
+                    BodyRecord(h, KIND_RAW, blocks.body(h) if indexed else encode_block(blocks[h])) for h in heights
+                ]
+                sizes = [len(rec.payload) for rec in bodies]
+            else:
+                bodies = None
+                sizes = [blocks.sizes[h] if indexed else len(encode_block(blocks[h])) for h in heights]
+            bodies_size = sum(len(_body_head(KIND_RAW, h, n)) + n for h, n in zip(heights, sizes))
+            kvs, stats = {}, None
+        else:
+            chosen = next(encoded)
+            threshold, keep_from, heights = chosen.threshold, chosen.keep_from, chosen.readable
+            bodies, bodies_size, kvs, stats = chosen.bodies, chosen.bodies_size, chosen.kvs, chosen.stats
+        # a header for each height with a body record
+        spine = [SpineRecord(entry.block_hash, headers[h] if h in heights else None) for h, entry in enumerate(entries)]
+        yield StoreModel(magic, tip, keep_from, config, threshold, spine, bodies, kvs, stats, bodies_size)
+        del spine  # so it is freed with its model, before the next is built
 
 
 def build_store_model(
@@ -492,21 +507,8 @@ def build_store_model(
     :meth:`~StrategyConfig.raw_only` config a retained block's record is
     its wire bytes, which a frame index reads without decoding.
     """
-    blocks, state = _sequence(blocks, state)
-    tip = len(blocks) - 1
-    entries = state.index.spine[: tip + 1]
-    headers = _headers(blocks)
-    if config.raw_only():
-        threshold, keep_from = _retained(len(blocks), state, config)
-        bodies = [BodyRecord(h, KIND_RAW, _wire(blocks, h)) for h in range(keep_from, len(blocks))]
-        spine = _spine(entries, {rec.height: headers[rec.height] for rec in bodies})
-        return StoreModel(magic, tip, keep_from, config, threshold, spine, bodies, {}, None)
-
-    (chosen,) = _encode(blocks, state, [config], keep=True)
-    spine = _spine(entries, {height: headers[height] for height in chosen.readable})
-    return StoreModel(
-        magic, tip, chosen.keep_from, config, chosen.threshold, spine, chosen.bodies, chosen.kvs, chosen.stats
-    )
+    (model,) = _models(blocks, state, [config], magic, keep=True)
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -907,30 +909,16 @@ def estimate_footprint(
 ) -> StorageReport:
     """Exact retained-bytes report for the strategy set and its singles.
 
-    Measures the store models write_store would persist, so estimate and
-    compact always agree, without keeping their records.  A raw-only
-    model's size comes from each block's wire size; the other models are
-    encoded in lockstep, indexing each height once per sweep.
+    Each row is the ``retained_bytes`` of the model
+    :func:`build_store_model` would build for its config, measured
+    without keeping its records, so estimate and compact always agree.
+    The models are encoded in lockstep, indexing each height once per
+    sweep.
     """
-    blocks, state = _sequence(blocks, state)
     singles = [StrategyConfig(**{name: getattr(config, name)}) for name in config.enabled()]
     combined = [config] if len(singles) > 1 else []
     configs = [StrategyConfig(), *singles, *combined]
-    encoded = iter(_encode(blocks, state, [cfg for cfg in configs if not cfg.raw_only()], keep=False))
-    entries = state.index.spine[: len(blocks)]
-    headers = _headers(blocks)
-    wire_sizes = _wire_sizes(blocks)
-
-    retained = []
-    for cfg in configs:
-        if cfg.raw_only():
-            _, keep_from = _retained(len(blocks), state, cfg)
-            heights = range(keep_from, len(blocks))
-            bodies = sum(len(_body_head(KIND_RAW, h, wire_sizes[h])) + wire_sizes[h] for h in heights)
-        else:
-            chosen = next(encoded)
-            heights = chosen.readable
-            bodies = chosen.bodies_size + _size(_kvs_parts(chosen.kvs))
-        retained.append(_size(_spine_parts(_spine(entries, {h: headers[h] for h in heights}))) + bodies)
+    # map() drops each model once it is measured, before the next is built
+    retained = list(map(attrgetter("retained_bytes"), _models(blocks, state, configs, MAINNET_MAGIC, keep=False)))
     rows = [ReportRow(cfg.label(), size, reduction_percent(retained[0], size)) for cfg, size in zip(configs, retained)]
     return StorageReport(retained[0], rows)

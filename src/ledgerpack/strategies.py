@@ -377,11 +377,6 @@ class RefScriptCodec:
         return script, width, 1 + REF_LEN
 
 
-# A stored transaction is the wire layout with a script codec.
-encode_stored_tx = encode_transaction
-decode_stored_tx = decode_transaction
-
-
 # ---------------------------------------------------------------------------
 # SLACK
 
@@ -850,9 +845,6 @@ class StrategyConfig:
 
     def label(self) -> str:
         return "+".join(self.enabled()) or "baseline"
-
-    def any_enabled(self) -> bool:
-        return bool(self.enabled())
 
     def raw_only(self) -> bool:  # every retained block keeps its raw record
         return not (self.minimize or self.slack or self.dedup)

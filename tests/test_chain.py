@@ -1,7 +1,7 @@
 import pytest
 from blockkit import build_blocks, coinbase_tx, outpoint, spend_tx
 
-from ledgerpack.chain import ChainIndex, build_chain, connect_block, locate_tx
+from ledgerpack.chain import ChainIndex, build_chain, connect_block
 from ledgerpack.errors import ContinuityError, UnknownInputError
 from ledgerpack.wire import OutPoint, txid
 
@@ -86,9 +86,9 @@ def test_locate_tx():
     cb0, cb1, cb2 = coinbase_tx(0), coinbase_tx(1), coinbase_tx(2)
     sp = spend_tx([outpoint(cb0)])
     state = build_chain(build_blocks([[cb0], [cb1], [cb2, sp]]))
-    assert locate_tx(state.index, txid(cb0)) == (0, 0)
-    assert locate_tx(state.index, txid(sp)) == (2, 1)
-    assert locate_tx(state.index, b"\x99" * 32) is None
+    assert state.index.locator.get(txid(cb0)) == (0, 0)
+    assert state.index.locator.get(txid(sp)) == (2, 1)
+    assert state.index.locator.get(b"\x99" * 32) is None
     assert state.index.txid_at(2, 1) == txid(sp)
     assert state.index.txid_at(2, 5) is None
     assert state.index.txid_at(9, 0) is None
@@ -137,7 +137,7 @@ def test_duplicate_txid_last_writer_wins():
     assert txid(dup_a) == txid(dup_b)
     state = build_chain(build_blocks([[dup_a], [dup_b]]))
     assert state.index.duplicate_txids == 1
-    assert locate_tx(state.index, txid(dup_a)) == (1, 0)
+    assert state.index.locator.get(txid(dup_a)) == (1, 0)
     # the second insertion overwrites the outpoint entry
     assert len(state.utxos) == 1
     assert next(iter(state.utxos.values())).creation_height == 1

@@ -12,11 +12,14 @@
   from decoded blocks, file for file and byte for byte.
 - A block file with a fault gives no report and writes no store, and the
   first faulty frame in file order is the one reported.
+- ``compact`` and ``estimate`` read the block file again while they build,
+  so they refuse a named pipe before reading it; the reports read a pipe.
 """
 
 import gc
 import io
 import os
+import threading
 import tracemalloc
 from collections import Counter
 
@@ -255,3 +258,46 @@ def test_the_first_faulty_frame_is_reported(bad_chains, tmp_path, capsys):
         assert cli.main([*report, chain_path]) == 1
         err = capsys.readouterr().err
         assert "height 12 tx 1 spends unknown outpoint" in err, (report, err)
+
+
+def _run_on_pipe(tmp_path, data, argv):
+    """``cli.main(argv(path))`` with ``path`` a named pipe that a thread
+    fills with ``data`` until the command closes it."""
+    path = str(tmp_path / "chain.pipe")
+    os.mkfifo(path)
+
+    def feed():
+        try:
+            with open(path, "wb") as fh:
+                fh.write(data)
+        except BrokenPipeError:
+            pass
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        return cli.main(argv(path))
+    finally:
+        writer.join(timeout=30)
+        assert not writer.is_alive()
+        os.unlink(path)
+
+
+def test_a_pipe_is_refused_by_the_store_commands_and_read_by_the_reports(small_chain, tmp_path, capsys):
+    _, data = small_chain
+    store_dir = str(tmp_path / "store")
+    for argv in (
+        lambda pipe: ["compact", pipe, store_dir],
+        lambda pipe: ["compact", pipe, store_dir, "--minimize", "--slack"],
+        lambda pipe: ["estimate", pipe],
+        lambda pipe: ["estimate", pipe, "--dedup-scripts"],
+    ):
+        assert _run_on_pipe(tmp_path, data, argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {tmp_path / 'chain.pipe'}: not seekable")
+        assert "needs a seekable file" in captured.err
+        assert not os.path.exists(store_dir)
+    for report in (["parse"], ["stats", "dedup"]):
+        assert _run_on_pipe(tmp_path, data, lambda pipe: [*report, pipe]) == 0, report
+        assert capsys.readouterr().out != ""

@@ -23,13 +23,10 @@ MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 # library API: the tests and the benchmark call them.  The set is exact.
 LIBRARY_API = {
     "composition_for_block",  # analytics
-    "locate_tx",  # chain
     "gen_tx_corpus",  # fixture
     "decode_store_content",  # store
     "read_store",
-    "encode_stored_tx",  # strategies
-    "decode_stored_tx",
-    "minimize_block",
+    "minimize_block",  # strategies
     "slack_decode",
     "slack_encode",
     "verify_tx_in_minimized",

@@ -7,7 +7,6 @@ from blockkit import build_blocks, coinbase_tx, outpoint, spend_tx
 from ledgerpack.analytics import LifespanCdf
 from ledgerpack.errors import DecodeError, QuantileUnreachableError, StrategyError
 from ledgerpack.strategies import (
-    IDENTITY_CODEC,
     DedupPlan,
     MinimizedBlock,
     PruneConfig,
@@ -17,9 +16,7 @@ from ledgerpack.strategies import (
     choose_prune_threshold,
     copath_coordinates,
     dedup_scripts,
-    decode_stored_tx,
     deserialize_minimized,
-    encode_stored_tx,
     minimize_block,
     prune_keep_from,
     reduction_percent,
@@ -35,6 +32,7 @@ from ledgerpack.wire import (
     TxIn,
     TxOut,
     WitnessStack,
+    decode_transaction,
     encode_block,
     encode_transaction,
     txid,
@@ -450,12 +448,12 @@ def test_ref_codec_roundtrips_bit_exactly():
         has_witness_flag=True,
         witnesses=[WitnessStack([s, b"\x42"])],
     )
-    stored = encode_stored_tx(tx, codec)
+    stored = encode_transaction(tx, codec)
     plain = encode_transaction(tx)
     # rewritten sites shrink from varint+30 bytes to tag+ref (9); the two
     # inline fields each pay a 1-byte tag
     assert len(stored) == len(plain) - (33 - 9) - (31 - 9) - (31 - 9) + 2
-    back, used = decode_stored_tx(stored, 0, codec)
+    back, used = decode_transaction(stored, 0, codec)
     assert used == len(stored)
     assert encode_transaction(back) == plain
 
@@ -472,13 +470,6 @@ def test_ref_codec_missing_ref_and_bad_token():
         codec.decode(b"\x09" + b"\x00" * 8, 0)
 
 
-def test_encode_stored_tx_identity_matches_wire():
-    tx = spend_tx([OutPoint(b"\x01" * 32, 0)], witness=True)
-    assert encode_stored_tx(tx) == encode_transaction(tx)
-    back, used = decode_stored_tx(encode_stored_tx(tx), 0, IDENTITY_CODEC)
-    assert encode_transaction(back) == encode_transaction(tx)
-
-
 # ---------------------------------------------------------------------------
 # report arithmetic
 
@@ -493,7 +484,5 @@ def test_reduction_percent_table_rows():
 
 def test_strategy_config_labels():
     assert StrategyConfig().label() == "baseline"
-    assert not StrategyConfig().any_enabled()
     cfg = StrategyConfig(prune=PruneConfig("blocks", blocks=3), minimize=True, slack=True, dedup=True)
     assert cfg.label() == "prune+minimize+slack+dedup"
-    assert cfg.any_enabled()
