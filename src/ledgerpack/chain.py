@@ -66,6 +66,24 @@ def connect_block(
     Every output enters the UTXO set, provably unspendable ones (a
     leading OP_RETURN byte) included.
     """
+    spent = []
+    _connect(index, utxos, block, height, spent)
+    return spent
+
+
+def _connect(
+    index: ChainIndex,
+    utxos: dict[OutPoint, UtxoEntry],
+    block: Block,
+    height: int,
+    log: list[SpentRecord] | None,
+) -> int:
+    """:func:`connect_block`, appending each spend's record to ``log``
+    unless it is None; returns the number of outputs the block spends.
+
+    A record's outpoint is the one the UTXO set held, not the input's
+    decoded prevout, so the log keeps no decoded block's objects alive.
+    """
     if height != len(index.spine):
         raise ContinuityError(
             f"block at height {height} does not extend tip height {index.tip_height()}"
@@ -76,7 +94,7 @@ def connect_block(
             f"tip is {hash_hex(index.tip_hash())}"
         )
 
-    spent = []
+    spends = 0
     height_txids = []
     locator = index.locator
     pop = utxos.pop
@@ -91,7 +109,9 @@ def connect_block(
                     f"height {height} tx {tx_index} spends unknown outpoint "
                     f"{hash_hex(prevout.tx_hash)}:{prevout.index}"
                 )
-            spent.append(_tuple_new(SpentRecord, (prevout, entry.creation_height, height)))
+            spends += 1
+            if log is not None:
+                log.append(_tuple_new(SpentRecord, (entry.outpoint, entry.creation_height, height)))
 
         t = txid(tx)
         if t in locator:
@@ -105,7 +125,7 @@ def connect_block(
 
     index.spine.append(SpineEntry(height, block.block_hash(), block.header.prev_block_hash))
     index.txids.append(height_txids)
-    return spent
+    return spends
 
 
 @dataclass(slots=True)
@@ -118,10 +138,7 @@ class ChainState:
 
     def connect(self, block: Block) -> None:
         """Connect the next block, at height tip + 1."""
-        spent = connect_block(self.index, self.utxos, block, len(self.index.spine))
-        self.spends += len(spent)
-        if self.spent_log is not None:
-            self.spent_log += spent
+        self.spends += _connect(self.index, self.utxos, block, len(self.index.spine), self.spent_log)
 
 
 def build_chain(blocks) -> ChainState:

@@ -282,6 +282,7 @@ def cmd_compact(args) -> int:
     config = _strategy_config(args)
     model = _build(args, config, partial(build_store_model, magic=args.magic))
     write_store(model, args.store)
+    spine_bytes, bodies_bytes, kvs_bytes = model.sizes()
     rows = [
         ("store", args.store),
         ("strategy", config.label()),
@@ -290,10 +291,10 @@ def cmd_compact(args) -> int:
         ("prune_threshold", model.prune_threshold if model.prune_threshold is not None else ""),
         ("body_records", len(model.bodies)),
         ("dedup_effective", int(model.dedup_effective)),
-        ("spine_bytes", len(model.spine_bytes())),
-        ("bodies_bytes", len(model.bodies_bytes())),
-        ("kvs_bytes", len(model.kvs_bytes())),
-        ("retained_bytes", model.retained_bytes),
+        ("spine_bytes", spine_bytes),
+        ("bodies_bytes", bodies_bytes),
+        ("kvs_bytes", kvs_bytes),
+        ("retained_bytes", spine_bytes + bodies_bytes + kvs_bytes),
     ]
     if model.slack_stats is not None:
         stats = model.slack_stats

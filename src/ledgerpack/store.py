@@ -130,15 +130,22 @@ def _size(parts) -> int:
     return sum(map(len, parts))
 
 
+def _sha256(parts) -> str:
+    """The hex sha256 of the bytes ``parts`` join to, without joining them."""
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(part)
+    return digest.hexdigest()
+
+
 @dataclass
 class StoreModel:
     """Everything write_store puts on disk, with exact byte accounting.
 
-    Each file is serialized on first use and reused after that, so any
-    change to the records must come before the first read of the bytes.
-    ``bodies_size`` is the body file's size, measured by the pass that
-    chose the records, so :attr:`retained_bytes` sees no later change to
-    them.
+    The model holds its records and nothing joined from them: each file
+    is written, hashed and measured from its parts.  ``bodies_size`` is
+    the body file's size, measured by the pass that chose the records,
+    so :meth:`sizes` sees no later change to them.
     """
 
     magic: int
@@ -151,36 +158,31 @@ class StoreModel:
     kvs: dict = field(default_factory=dict)
     slack_stats: SlackStats | None = None
     bodies_size: int = 0
-    _files: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def _file(self, name: str, parts) -> bytes:
-        """File ``name``'s bytes, joined from ``parts`` on first use."""
-        if name not in self._files:
-            self._files[name] = b"".join(parts)
-        return self._files[name]
 
     def spine_bytes(self) -> bytes:
-        return self._file(SPINE_FILE, _spine_parts(self.spine))
+        return b"".join(_spine_parts(self.spine))
 
     def bodies_bytes(self) -> bytes:
-        return self._file(BODIES_FILE, _bodies_parts(self.bodies))
+        return b"".join(_bodies_parts(self.bodies))
 
     def kvs_bytes(self) -> bytes:
-        return self._file(KVS_FILE, _kvs_parts(self.kvs))
+        return b"".join(_kvs_parts(self.kvs))
 
     @property
     def dedup_effective(self) -> bool:
         return bool(self.kvs)
 
+    def sizes(self) -> tuple:
+        """The spine, body and KVS files' sizes, measured without joining them."""
+        return _size(_spine_parts(self.spine)), self.bodies_size, _size(_kvs_parts(self.kvs))
+
     @property
     def retained_bytes(self) -> int:
-        """The three data files' sizes, measured without joining them."""
-        return _size(_spine_parts(self.spine)) + self.bodies_size + _size(_kvs_parts(self.kvs))
+        """The three data files' total size, as :meth:`sizes` measures them."""
+        return sum(self.sizes())
 
     def manifest_text(self) -> str:
-        if MANIFEST_FILE in self._files:
-            return self._files[MANIFEST_FILE]
-        self._files[MANIFEST_FILE] = text = Manifest(
+        return Manifest(
             format=FORMAT_VERSION,
             magic=self.magic,
             tip=self.tip,
@@ -194,11 +196,10 @@ class StoreModel:
             spine_count=len(self.spine),
             body_count=len(self.bodies),
             kvs_count=len(self.kvs),
-            sha256_spine=hashlib.sha256(self.spine_bytes()).hexdigest(),
-            sha256_bodies=hashlib.sha256(self.bodies_bytes()).hexdigest(),
-            sha256_kvs=hashlib.sha256(self.kvs_bytes()).hexdigest(),
+            sha256_spine=_sha256(_spine_parts(self.spine)),
+            sha256_bodies=_sha256(_bodies_parts(self.bodies)),
+            sha256_kvs=_sha256(_kvs_parts(self.kvs)),
         ).text()
-        return text
 
 
 # ---------------------------------------------------------------------------
@@ -516,16 +517,16 @@ def build_store_model(
 
 
 def write_store(model: StoreModel, path: str) -> None:
-    """Write the four store files; the manifest goes last."""
+    """Write the four store files, each from its parts; the manifest goes last."""
     os.makedirs(path, exist_ok=True)
-    for name, data in [
-        (SPINE_FILE, model.spine_bytes()),
-        (BODIES_FILE, model.bodies_bytes()),
-        (KVS_FILE, model.kvs_bytes()),
-        (MANIFEST_FILE, model.manifest_text().encode("ascii")),
+    for name, parts in [
+        (SPINE_FILE, _spine_parts(model.spine)),
+        (BODIES_FILE, _bodies_parts(model.bodies)),
+        (KVS_FILE, _kvs_parts(model.kvs)),
+        (MANIFEST_FILE, [model.manifest_text().encode("ascii")]),
     ]:
         with open(os.path.join(path, name), "wb") as fh:
-            fh.write(data)
+            fh.writelines(parts)
 
 
 @dataclass

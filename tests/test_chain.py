@@ -1,9 +1,14 @@
+import io
+
 import pytest
 from blockkit import build_blocks, coinbase_tx, outpoint, spend_tx
 
-from ledgerpack.chain import ChainIndex, build_chain, connect_block
+from ledgerpack.chain import ChainIndex, ChainState, build_chain, connect_block
 from ledgerpack.errors import ContinuityError, UnknownInputError
-from ledgerpack.wire import OutPoint, txid
+from ledgerpack.fixture import gen_chain
+from ledgerpack.wire import OutPoint, read_block_stream, txid
+
+from test_golden import CHAINS
 
 
 def test_coinbase_only_block():
@@ -123,6 +128,31 @@ def test_fold_equivalence():
     assert log == state.spent_log
     assert index.locator == state.index.locator
     assert [e.block_hash for e in index.spine] == [e.block_hash for e in state.index.spine]
+
+
+@pytest.fixture(scope="module")
+def fixture_blocks():
+    data, _ = gen_chain(CHAINS["heavy"])
+    return [block for block, _ in read_block_stream(io.BytesIO(data))]
+
+
+def test_spend_log_holds_the_utxo_sets_outpoints(fixture_blocks):
+    """Each logged outpoint is the one the UTXO set held, whose tx hash is
+    the txid the index keeps, not the decoded input's copy of it."""
+    state = build_chain(fixture_blocks)
+    assert state.spent_log
+    for rec in state.spent_log:
+        assert any(t is rec.outpoint.tx_hash for t in state.index.txids[rec.creation_height])
+
+
+def test_spends_are_counted_the_same_without_a_log(fixture_blocks):
+    logged, unlogged = ChainState(), ChainState(spent_log=None)
+    for block in fixture_blocks:
+        logged.connect(block)
+        unlogged.connect(block)
+    assert logged.spends == unlogged.spends == len(logged.spent_log) > 0
+    assert unlogged.spent_log is None
+    assert unlogged.utxos == logged.utxos
 
 
 def test_op_return_outputs_stay_in_the_utxo_set():

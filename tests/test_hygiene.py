@@ -23,6 +23,7 @@ MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 # library API: the tests and the benchmark call them.  The set is exact.
 LIBRARY_API = {
     "composition_for_block",  # analytics
+    "connect_block",  # chain
     "gen_tx_corpus",  # fixture
     "decode_store_content",  # store
     "read_store",
