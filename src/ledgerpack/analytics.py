@@ -170,24 +170,16 @@ def _add_block(block: Block, comp: CompositionBreakdown) -> None:
         _add_tx(tx, comp.totals)
 
 
-def composition_for_block(block: Block) -> CompositionBreakdown:
-    """Exact bucket partition of one block's serialized bytes.
-
-    The script-length varints count as fixed TxIn/TxOut bytes so the
-    script buckets hold exactly the script byte strings; the block's
-    tx-count varint counts as block header.
-    """
-    comp = CompositionBreakdown()
-    _add_block(block, comp)
-    return comp
-
-
 def composition_breakdown(
     blocks, segwit_boundary: int = SEGWIT_BOUNDARY
 ) -> tuple[CompositionBreakdown, CompositionBreakdown]:
-    """(pre, post) bucket totals split at the boundary height.
+    """(pre, post) bucket totals split at the boundary height: an exact
+    partition of the blocks' serialized bytes.
 
     Blocks at heights below ``segwit_boundary`` land in the pre side.
+    The script-length varints count as fixed TxIn/TxOut bytes so the
+    script buckets hold exactly the script byte strings; a block's
+    tx-count varint counts as block header.
     """
     pre = CompositionBreakdown()
     post = CompositionBreakdown()
@@ -286,10 +278,6 @@ class DormancyStats:
     buckets: list  # current-UTXO count per creation-height bucket
     blocks_with_utxo: int
     n_blocks: int
-
-    @property
-    def blocks_with_utxo_fraction(self) -> float:
-        return self.blocks_with_utxo / self.n_blocks if self.n_blocks else 0.0
 
 
 def dormancy_stats(utxos, bucket_width: int, n_blocks: int) -> DormancyStats:

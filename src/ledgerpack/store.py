@@ -459,7 +459,7 @@ def _models(blocks, state: ChainState | None, configs, magic: int, keep: bool):
     if state is None:
         state = build_chain(blocks)
     tip = len(blocks) - 1
-    entries = state.index.spine[: tip + 1]
+    hashes = state.index.spine[: tip + 1]
     headers = blocks.headers if indexed else [block.header for block in blocks]
     encoded = iter(_encode(blocks, state, [config for config in configs if not config.raw_only()], keep))
     for config in configs:
@@ -481,7 +481,7 @@ def _models(blocks, state: ChainState | None, configs, magic: int, keep: bool):
             threshold, keep_from, heights = chosen.threshold, chosen.keep_from, chosen.readable
             bodies, bodies_size, kvs, stats = chosen.bodies, chosen.bodies_size, chosen.kvs, chosen.stats
         # a header for each height with a body record
-        spine = [SpineRecord(entry.block_hash, headers[h] if h in heights else None) for h, entry in enumerate(entries)]
+        spine = [SpineRecord(block_hash, headers[h] if h in heights else None) for h, block_hash in enumerate(hashes)]
         yield StoreModel(magic, tip, keep_from, config, threshold, spine, bodies, kvs, stats, bodies_size)
         del spine  # so it is freed with its model, before the next is built
 

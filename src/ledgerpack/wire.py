@@ -252,7 +252,7 @@ def encode_witness_stacks(stacks: list, parts: list, codec) -> None:
 # against a field-by-field reference decoder.
 
 _PREVOUT = struct.Struct("<32sI")
-_tuple_new = tuple.__new__  # builds an OutPoint from an unpacked (hash, index) pair
+_tuple_new = tuple.__new__  # builds a named tuple from a tuple of its fields, skipping __new__'s frame
 
 
 def decode_witness_stacks(data: bytes, offset: int, n_inputs: int, codec) -> tuple[list, int]:

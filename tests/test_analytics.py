@@ -8,7 +8,6 @@ from ledgerpack.analytics import (
     CompositionBreakdown,
     LifespanCdf,
     composition_breakdown,
-    composition_for_block,
     dormancy_stats,
     lifespan_cdf,
     percentile,
@@ -157,7 +156,7 @@ def test_manual_byte_count_oracle_legacy_tx():
     )
     cb = coinbase_tx(0)
     block = build_blocks([[cb, tx]])[0]
-    comp = composition_for_block(block)
+    comp = composition_breakdown([block])[0]
     cb_in_script = len(cb.inputs[0].script)
     cb_out_script = len(cb.outputs[0].script)
     assert comp.totals["block_header"] == 81
@@ -173,7 +172,7 @@ def test_manual_byte_count_oracle_legacy_tx():
 def test_composition_counts_witness_separately():
     tx = spend_tx([OutPoint(bytes(32), 0)], witness=True)
     block = build_blocks([[coinbase_tx(0), tx]])[0]
-    comp = composition_for_block(block)
+    comp = composition_breakdown([block])[0]
     # 1 stack: count varint + item varint + 8 item bytes
     assert comp.totals["witness"] == 1 + 1 + 8
     assert comp.total_bytes == len(encode_block(block))
@@ -220,7 +219,7 @@ def test_composition_split_heights():
 
 def test_composition_merge_is_order_independent():
     blocks = build_blocks([[coinbase_tx(h)] for h in range(4)])
-    parts = [composition_for_block(b) for b in blocks]
+    parts = [composition_breakdown([b])[0] for b in blocks]
     a = parts[0].merge(parts[1]).merge(parts[2]).merge(parts[3])
     b = parts[3].merge(parts[2]).merge(parts[1].merge(parts[0]))
     assert a.totals == b.totals and a.n_txs == b.n_txs
@@ -318,13 +317,12 @@ def test_dormancy_hand_count():
     assert stats.buckets == [3, 0, 0, 2]
     assert sum(stats.buckets) == 5
     assert stats.blocks_with_utxo == 3
-    assert stats.blocks_with_utxo_fraction == 3 / 8
 
 
 def test_dormancy_empty_set():
     stats = dormancy_stats({}, 5, 20)
     assert stats.buckets == [0, 0, 0, 0]
-    assert stats.blocks_with_utxo_fraction == 0.0
+    assert stats.blocks_with_utxo == 0
 
 
 def test_dormancy_bucket_sum_is_set_size():

@@ -3,7 +3,7 @@ import io
 import pytest
 from blockkit import build_blocks, coinbase_tx, outpoint, spend_tx
 
-from ledgerpack.chain import ChainIndex, ChainState, build_chain, connect_block
+from ledgerpack.chain import ChainState, build_chain
 from ledgerpack.errors import ContinuityError, UnknownInputError
 from ledgerpack.fixture import gen_chain
 from ledgerpack.wire import OutPoint, read_block_stream, txid
@@ -80,13 +80,6 @@ def test_prev_hash_mismatch_rejected():
         build_chain(blocks)
 
 
-def test_height_must_extend_tip():
-    blocks = build_blocks([[coinbase_tx(0)]])
-    index = ChainIndex()
-    with pytest.raises(ContinuityError):
-        connect_block(index, {}, blocks[0], 1)
-
-
 def test_locate_tx():
     cb0, cb1, cb2 = coinbase_tx(0), coinbase_tx(1), coinbase_tx(2)
     sp = spend_tx([outpoint(cb0)])
@@ -112,22 +105,27 @@ def test_conservation_created_minus_spent_is_set_size():
     assert created - spent == len(state.utxos)
 
 
-def test_fold_equivalence():
-    cb0, cb1, cb2 = coinbase_tx(0), coinbase_tx(1), coinbase_tx(2)
-    sp = spend_tx([outpoint(cb1)])
-    blocks = build_blocks([[cb0], [cb1], [cb2, sp]])
-
-    state = build_chain(blocks)
-
-    index = ChainIndex()
-    utxos = {}
-    log = []
-    for h, block in enumerate(blocks):
-        log.extend(connect_block(index, utxos, block, h))
-    assert utxos == state.utxos
-    assert log == state.spent_log
-    assert index.locator == state.index.locator
-    assert [e.block_hash for e in index.spine] == [e.block_hash for e in state.index.spine]
+def test_locator_is_built_on_the_first_read_after_a_connect():
+    """Connecting resets the locator, so a read after more blocks sees
+    their txids and no entry that a later equal txid replaced; the
+    incremental fold equals :func:`build_chain`."""
+    dup_a, dup_b, cb2 = coinbase_tx(7), coinbase_tx(7), coinbase_tx(2)
+    sp = spend_tx([outpoint(dup_b)])
+    blocks = build_blocks([[dup_a], [dup_b], [cb2, sp]])
+    state = ChainState()
+    state.connect(blocks[0])
+    first = state.index.locator
+    assert first == {txid(dup_a): (0, 0)}
+    assert state.index.locator is first  # no connect since: the same table
+    for block in blocks[1:]:
+        state.connect(block)
+    assert state.index.locator == {txid(dup_b): (1, 0), txid(cb2): (2, 0), txid(sp): (2, 1)}
+    assert first == {txid(dup_a): (0, 0)}  # a table read earlier is left as it was
+    whole = build_chain(blocks)
+    assert whole.index.locator == state.index.locator
+    assert (whole.index.spine, whole.index.txids) == (state.index.spine, state.index.txids)
+    assert (whole.utxos, whole.spent_log, whole.spends) == (state.utxos, state.spent_log, state.spends)
+    assert state.index.spine == [block.block_hash() for block in blocks]
 
 
 @pytest.fixture(scope="module")
@@ -166,7 +164,6 @@ def test_duplicate_txid_last_writer_wins():
     dup_a, dup_b = coinbase_tx(7), coinbase_tx(7)
     assert txid(dup_a) == txid(dup_b)
     state = build_chain(build_blocks([[dup_a], [dup_b]]))
-    assert state.index.duplicate_txids == 1
     assert state.index.locator.get(txid(dup_a)) == (1, 0)
     # the second insertion overwrites the outpoint entry
     assert len(state.utxos) == 1

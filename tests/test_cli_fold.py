@@ -14,6 +14,7 @@
   first faulty frame in file order is the one reported.
 - ``compact`` and ``estimate`` read the block file again while they build,
   so they refuse a named pipe before reading it; the reports read a pipe.
+- Only a command that encodes slack records builds the txid locator.
 """
 
 import gc
@@ -27,7 +28,7 @@ import pytest
 
 from blockkit import build_blocks, coinbase_tx, spend_tx
 from ledgerpack import analytics, cli, store, wire  # noqa: F401  (loaded before any trace)
-from ledgerpack.chain import build_chain
+from ledgerpack.chain import ChainIndex, build_chain
 from ledgerpack.fixture import ChainPlan, gen_chain
 from ledgerpack.strategies import PruneConfig, StrategyConfig, dedup_scripts
 from ledgerpack.wire import OutPoint, decode_block, encode_block, frame_block, read_block_stream, read_frames
@@ -301,3 +302,31 @@ def test_a_pipe_is_refused_by_the_store_commands_and_read_by_the_reports(small_c
     for report in (["parse"], ["stats", "dedup"]):
         assert _run_on_pipe(tmp_path, data, lambda pipe: [*report, pipe]) == 0, report
         assert capsys.readouterr().out != ""
+
+
+def test_only_slack_records_build_the_locator(small_chain, tmp_path, monkeypatch):
+    chain_path, _ = small_chain
+    reads = []
+    built = ChainIndex.locator.fget
+
+    def counting(index):
+        reads.append(index)
+        return built(index)
+
+    monkeypatch.setattr(ChainIndex, "locator", property(counting))
+    out, plain, slack = (str(tmp_path / name) for name in ("report.csv", "plain", "slack"))
+    never = [[*report, chain_path, "--output", out] for report in REPORTS]
+    never += [
+        ["compact", chain_path, plain, "--output", out],
+        ["verify", plain, "--output", out],
+        ["estimate", chain_path, "--prune-blocks", "10", "--output", out],
+        ["estimate", chain_path, "--minimize", "--output", out],
+    ]
+    for argv in never:
+        assert cli.main(argv) == 0, argv
+        assert not reads, argv
+    assert cli.main(["compact", chain_path, slack, "--slack", "--output", out]) == 0
+    assert reads
+    reads.clear()
+    assert cli.main(["verify", slack, "--output", out]) == 0
+    assert not reads

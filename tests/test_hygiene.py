@@ -8,22 +8,22 @@ every parameter of a function must be read in its body (a method's
 ``self`` or ``cls`` excepted).  ``__init__.py`` is exempt: its imports
 are the package's re-exports.  Every public module-level function,
 class or alias must be loaded somewhere in the package, or be named in
-``LIBRARY_API``.
+``LIBRARY_API``, which the README's library-API paragraph lists too.
 """
 
 import ast
 import pathlib
+import re
 
 import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "ledgerpack"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+README = SRC.parent.parent / "README.md"
 
 # Public names that nothing in the package calls, kept on purpose as
 # library API: the tests and the benchmark call them.  The set is exact.
 LIBRARY_API = {
-    "composition_for_block",  # analytics
-    "connect_block",  # chain
     "gen_tx_corpus",  # fixture
     "decode_store_content",  # store
     "read_store",
@@ -158,3 +158,12 @@ def test_every_public_name_has_a_caller_or_is_library_api():
     assert not uncalled - LIBRARY_API, f"public names nothing in ledgerpack loads: {sorted(uncalled - LIBRARY_API)}"
     stale = LIBRARY_API - uncalled
     assert not stale, f"LIBRARY_API names that are gone or now have a caller in ledgerpack: {sorted(stale)}"
+
+
+def test_readme_lists_exactly_the_library_api():
+    text = README.read_text(encoding="utf-8")
+    start = text.index("A few public functions have no caller inside the package")
+    named = re.findall(r"`(\w+)\.(\w+)`", text[start : text.index("\n\n", start)])
+    assert sorted(name for _, name in named) == sorted(LIBRARY_API)
+    misplaced = [f"{module}.{name}" for module, name in named if name not in _public_defs(_tree(SRC / f"{module}.py"))]
+    assert not misplaced, f"the README names these in the wrong module: {misplaced}"

@@ -1,10 +1,12 @@
 """Seeded mutations of every store file and of framed block streams.
 
-Only ``LedgerError`` may escape ``read_store``, ``decode_store_content``
-and ``read_block_stream``, and ``integrity_check`` never raises.  A
-store that the readers reject must also fail ``integrity_check``.  The
-manifest is mutated with its checksum re-stamped, so its parser, and
-not only the checksum, sees each change.
+Only ``LedgerError`` may escape ``read_store``, ``decode_store_content``,
+``read_block_stream`` or a fold of its blocks through
+``ChainState.connect`` and ``estimate_footprint``, and
+``integrity_check`` never raises.  A store that the readers reject must
+also fail ``integrity_check``.  The manifest is mutated with its
+checksum re-stamped, so its parser, and not only the checksum, sees
+each change.
 """
 
 import hashlib
@@ -14,6 +16,7 @@ import random
 
 import pytest
 
+from ledgerpack.chain import ChainState
 from ledgerpack.errors import LedgerError
 from ledgerpack.fixture import ChainPlan, gen_chain
 from ledgerpack.store import (
@@ -22,10 +25,12 @@ from ledgerpack.store import (
     SPINE_FILE,
     build_store_model,
     decode_store_content,
+    estimate_footprint,
     integrity_check,
     read_store,
     write_store,
 )
+from ledgerpack.strategies import PruneConfig, StrategyConfig
 from ledgerpack.wire import read_block_stream
 
 from test_store_contract import MUTATED_CONFIGS, chain  # noqa: F401
@@ -103,10 +108,11 @@ def test_replaced_manifest_values_raise_only_ledger_errors(chain, tmp_path, labe
         _read_everything(path)
 
 
+FLIPPED_CHAIN = ChainPlan(seed=31, n_blocks=24, txs_per_block=8, segwit_fraction=0.6, dup_rate=0.7)
+
+
 def test_flipped_block_stream_bytes_raise_only_ledger_errors():
-    data, _ = gen_chain(
-        ChainPlan(seed=31, n_blocks=24, txs_per_block=8, segwit_fraction=0.6, dup_rate=0.7)
-    )
+    data, _ = gen_chain(FLIPPED_CHAIN)
     rng = random.Random("block-stream-mutations")
     for _ in range(4 * MUTATIONS_PER_FILE):
         try:
@@ -114,3 +120,21 @@ def test_flipped_block_stream_bytes_raise_only_ledger_errors():
                 pass
         except LedgerError:
             pass
+
+
+def test_flipped_block_streams_through_the_chain_and_every_strategy_raise_only_ledger_errors():
+    data, _ = gen_chain(FLIPPED_CHAIN)
+    config = StrategyConfig(prune=PruneConfig("blocks", blocks=12), minimize=True, slack=True, dedup=True)
+    rng = random.Random("chain-fold-mutations")
+    estimated = 0
+    for _ in range(4 * MUTATIONS_PER_FILE):
+        state, blocks = ChainState(), []
+        try:
+            for block, _ in read_block_stream(io.BytesIO(_flip(data, rng))):
+                state.connect(block)
+                blocks.append(block)
+            estimate_footprint(blocks, state, config)
+            estimated += 1
+        except LedgerError:
+            pass
+    assert estimated  # some flips leave a chain that connects, and it is estimated
