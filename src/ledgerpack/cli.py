@@ -7,9 +7,9 @@ Reports go to stdout (CSV by default, line-delimited JSON with
 Each subcommand imports only the modules it runs: ``store`` and
 ``strategies`` inside the commands that build or read a store,
 ``fixture`` inside ``genchain``, ``analytics`` inside ``stats`` (and in
-the store only for ``--prune-quantile`` and ``--dedup-scripts``), and
-``json`` only for an ldjson report.  Without a bytecode cache the
-interpreter compiles every module it imports, on every start.
+the store only for ``--prune-quantile``), and ``json`` only for an
+ldjson report.  Without a bytecode cache the interpreter compiles
+every module it imports, on every start.
 
 :func:`run` is the process entry, for ``python -m ledgerpack.cli`` and
 the ``ledgerpack`` script.  It freezes the heap after the command, so

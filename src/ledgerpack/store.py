@@ -69,6 +69,7 @@ from .wire import (
     encode_with_witness_at,
     join_block,
     merkle_root,
+    varint_width,
 )
 
 SPINE_FILE = "spine.bin"
@@ -223,8 +224,10 @@ def _stored_forms(block: Block, codec) -> tuple:
     return stored, witness_at, join_block(block, stored)
 
 
-def _stored_scripts(txs, positions) -> list:
-    """Every script field of the txs at ``positions``, in stored order."""
+def _stored_scripts(txs, positions, widths=None) -> list:
+    """Every script field of the txs at ``positions``, in stored order;
+    with ``widths``, each one's stored length-varint width (0 =
+    canonical) is appended there in the same order."""
     scripts = []
     extend = scripts.extend
     for i in sorted(positions):
@@ -233,7 +236,65 @@ def _stored_scripts(txs, positions) -> list:
         extend([txout.script for txout in tx.outputs])
         for stack in tx.witnesses:
             extend(stack.items)
+        if widths is not None:
+            widths.extend([txin.script_len_width for txin in tx.inputs])
+            widths.extend([txout.script_len_width for txout in tx.outputs])
+            for stack in tx.witnesses:
+                widths.extend(stack.item_widths or [0] * len(stack.items))
     return scripts
+
+
+class _DedupSizer:
+    """Sizes a raw-record model's body file under a dedup plan from its
+    first pass, without encoding a record.
+
+    Under :class:`~ledgerpack.strategies.RefScriptCodec` a raw payload is
+    its identity payload plus one token byte per script field, and each
+    site of a rewritten script trades its length varint and bytes for a
+    ``REF_LEN``-byte reference.  Only the body head's length varint
+    depends on a height's own sites, and the bounds on its payload fix
+    its width at all but a few heights; only those keep their sites.
+    """
+
+    def __init__(self):
+        self.size = 0  # every payload with a token per field, and the heads the bounds fix
+        self.open = []  # (head before the length varint, upper bound, scripts, widths)
+        self.odd = Counter()  # (script, stored width) of each non-canonical site
+
+    def add(self, height: int, payload: int, scripts: list, widths: list) -> None:
+        upper = payload + len(scripts)
+        cut = 0  # the most that rewriting could take off the payload
+        for script, width in zip(scripts, widths):
+            n = len(script)
+            if width != 1:  # a one-byte length is always canonical
+                canonical = varint_width(n)
+                if width and width != canonical:
+                    self.odd[script, width] += 1
+                else:
+                    width = canonical
+            if n + width > REF_LEN:
+                cut += n + width - REF_LEN
+        head = 1 + varint_width(height)
+        if varint_width(upper - cut) == varint_width(upper):
+            self.size += head + varint_width(upper)
+        else:
+            self.open.append((head, upper, scripts, widths))
+        self.size += upper
+
+    def bodies_size(self, counts: Counter, rewrite: set) -> int:
+        """The body file's size with each script of ``rewrite``, which
+        occurs ``counts`` times, stored by reference."""
+        size = self.size
+        for script in rewrite:
+            n = len(script)
+            size -= counts[script] * (n + varint_width(n) - REF_LEN)
+        for (script, width), occ in self.odd.items():
+            if script in rewrite:
+                size -= occ * (width - varint_width(len(script)))
+        for head, upper, scripts, widths in self.open:
+            cut = sum(len(s) + (w or varint_width(len(s))) - REF_LEN for s, w in zip(scripts, widths) if s in rewrite)
+            size += head + varint_width(upper - cut)
+        return size
 
 
 class _Pass:
@@ -246,7 +307,8 @@ class _Pass:
     pass keeps the tx positions a reader decodes at each height that has
     a record (``readable``), its stats and its body file's size; the
     records only with ``keep``; and, as the first pass of a dedup model,
-    the occurrences of every script field its records store (``sites``).
+    the occurrences of every script field its records store (``sites``),
+    and when those records are raw, a :class:`_DedupSizer` (``sizer``).
     """
 
     def __init__(self, config, retained: tuple, minimized: dict, index, codec, keep: bool):
@@ -261,6 +323,8 @@ class _Pass:
         self.bodies = [] if keep else None
         self.bodies_size = 0
         self.sites = Counter() if config.dedup and codec is IDENTITY_CODEC else None
+        raw = not (config.minimize or config.slack)
+        self.sizer = _DedupSizer() if self.sites is not None and raw else None
 
     def encodes(self, height: int) -> bool:
         """A retained height gets a record unless minimize finds nothing there to keep."""
@@ -280,7 +344,11 @@ class _Pass:
         if self.bodies is not None:
             self.bodies.append(BodyRecord(height, kind, payload))
         if self.sites is not None:
-            self.sites.update(_stored_scripts(block.transactions, self.readable[height]))
+            widths = None if self.sizer is None else []
+            scripts = _stored_scripts(block.transactions, self.readable[height], widths)
+            self.sites.update(scripts)
+            if widths is not None:
+                self.sizer.add(height, len(payload), scripts, widths)
 
     def candidates(self, block: Block, height: int, stored: list, witness_at: list, raw: bytes):
         """Yield the block's faithful records in tie-break order, each as
@@ -401,7 +469,9 @@ def _encode(blocks, state: ChainState, configs, keep: bool) -> list:
     The passes advance in lockstep: one sweep over ``blocks`` feeds every
     first pass, and one more feeds the dedup passes.  A dedup model
     keeps its dedup pass only if that pass's exact body file + KVS bytes
-    are a net saving over its first pass's body file.
+    are a net saving over its first pass's body file.  A model of raw
+    records takes that body file's size from its first pass's
+    :class:`_DedupSizer`, and sweeps again only to build records that pay.
     """
     retained = [_retained(len(blocks), state, config) for config in configs]
     # height -> (ascending positions of txs that still carry UTXOs, serialized
@@ -426,16 +496,23 @@ def _encode(blocks, state: ChainState, configs, keep: bool) -> list:
 
     dedup = []  # (position in passes, the dedup pass of that model)
     for i, first in enumerate(passes):
-        if first.sites is not None:
-            plan = dedup_scripts(first.sites)
-            first.sites = None
-            if plan.rewrite:
-                # the codec keeps each rewritten script with its reference, so
-                # the plan, and its own set of them, is freed before the sweep
-                codec = RefScriptCodec(plan.rewrite, plan.kvs)
-                span = (first.threshold, first.keep_from)
-                dedup.append((i, _Pass(first.config, span, first.minimized, state.index, codec, keep)))
-            del plan
+        if first.sites is None:
+            continue
+        plan = dedup_scripts(first.sites)
+        sweep = bool(plan.rewrite)
+        if sweep and first.sizer is not None:
+            size = first.sizer.bodies_size(first.sites, plan.rewrite)
+            sweep = size + _size(_kvs_parts(plan.kvs)) < first.bodies_size
+            if sweep and not keep:  # the first pass stands for the dedup pass
+                first.bodies_size, first.kvs, sweep = size, plan.kvs, False
+        first.sites = first.sizer = None
+        if sweep:
+            # the codec keeps each rewritten script with its reference, so
+            # the plan, and its own set of them, is freed before the sweep
+            codec = RefScriptCodec(plan.rewrite, plan.kvs)
+            span = (first.threshold, first.keep_from)
+            dedup.append((i, _Pass(first.config, span, first.minimized, state.index, codec, keep)))
+        del plan
     _sweep(blocks, [second for _, second in dedup])
     for i, second in dedup:
         if second.bodies_size + _size(_kvs_parts(second.kvs)) < passes[i].bodies_size:

@@ -60,7 +60,8 @@ from .wire import (
 )
 
 # ``analytics`` is imported only by the functions that run it, so a store
-# without quantile prune or dedup never loads it
+# without quantile prune never loads it: the store gives dedup_scripts a
+# Counter, and only a block iterable needs analytics
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .analytics import LifespanCdf
@@ -800,11 +801,11 @@ def dedup_scripts(counts_or_blocks) -> DedupPlan:
     and the abstract saving len*(occ-1) - ref*occ is positive, which
     also rejects every script of 8 bytes or shorter.
     """
-    from .analytics import script_multisets
-
     if isinstance(counts_or_blocks, Counter):
         counts = counts_or_blocks
     else:
+        from .analytics import script_multisets
+
         inputs, outputs = script_multisets(counts_or_blocks)
         counts = inputs + outputs
 

@@ -30,7 +30,7 @@ from blockkit import build_blocks, coinbase_tx, spend_tx
 from ledgerpack import analytics, cli, store, wire  # noqa: F401  (loaded before any trace)
 from ledgerpack.chain import ChainIndex, build_chain
 from ledgerpack.fixture import ChainPlan, gen_chain
-from ledgerpack.strategies import PruneConfig, StrategyConfig, dedup_scripts
+from ledgerpack.strategies import PruneConfig, RefScriptCodec, StrategyConfig, dedup_scripts
 from ledgerpack.wire import OutPoint, decode_block, encode_block, frame_block, read_block_stream, read_frames
 
 from test_golden import CHAINS
@@ -75,25 +75,41 @@ def _commands(chain_path, tmp_path):
         yield ["compact", chain_path, str(tmp_path / "store"), *flags, "--output", out]
 
 
+def _dedup_pays(blocks) -> bool:
+    """Whether the chain's dedup plan shrinks its raw body file by more
+    than the KVS costs, measured by encoding every block under the plan."""
+    plan = dedup_scripts(blocks)
+    if not plan.rewrite:
+        return False
+
+    def body_file(codec):
+        payloads = [encode_block(block, codec) for block in blocks]
+        return sum(len(store._body_head(store.KIND_RAW, h, len(p))) + len(p) for h, p in enumerate(payloads))
+
+    kvs = len(b"".join(store._kvs_parts(plan.kvs)))
+    return body_file(RefScriptCodec(plan.rewrite, plan.kvs)) + kvs < body_file(wire.IDENTITY_CODEC)
+
+
 def _expected_decodes(data):
     """(command, strategy flags) -> how often each frame body is decoded:
     once by the connect pass, and once more by each model sweep that
-    encodes its height."""
+    encodes its height.  A dedup model of raw records takes its dedup
+    size from its first sweep, so ``estimate --dedup-scripts`` decodes
+    each frame twice, and ``compact --dedup-scripts`` sweeps a third time,
+    to build its records, only when dedup pays."""
     bodies = [body for body, _ in read_frames(io.BytesIO(data))]
     frames = Counter(bodies)
     blocks = [decode_block(body) for body in bodies]
     state = build_chain(blocks)
     unspent = {op.tx_hash for op in state.utxos}
     keeping = Counter(body for body, ids in zip(bodies, state.index.txids) if any(t in unspent for t in ids))
-    # a dedup model sweeps again when its plan rewrites a script of the chain
-    dedup_sweeps = 1 + bool(dedup_scripts(blocks).rewrite)
     return {
         # estimate's slack model encodes every height; compact's minimize
         # model only the heights that keep a tx
         ("estimate", "--minimize --slack"): frames + frames,
         ("compact", "--minimize --slack"): frames + keeping,
-        ("estimate", "--dedup-scripts"): Counter({body: 1 + dedup_sweeps for body in bodies}),
-        ("compact", "--dedup-scripts"): Counter({body: 1 + dedup_sweeps for body in bodies}),
+        ("estimate", "--dedup-scripts"): frames + frames,
+        ("compact", "--dedup-scripts"): frames + frames + (frames if _dedup_pays(blocks) else Counter()),
     }, frames
 
 
@@ -104,7 +120,7 @@ def test_each_command_decodes_each_frame_once(small_chain, tmp_path, monkeypatch
     chain_path, data = small_chain
     expected, frames = _expected_decodes(data)
     assert len(frames) == 30
-    assert expected["estimate", "--dedup-scripts"] == Counter({body: 3 for body in frames})
+    assert expected["compact", "--dedup-scripts"] == Counter({body: 3 for body in frames})
     assert expected["compact", "--minimize --slack"] != frames + frames
     decoded = Counter()
     real = wire.decode_block
@@ -121,6 +137,29 @@ def test_each_command_decodes_each_frame_once(small_chain, tmp_path, monkeypatch
         assert cli.main(argv) == 0, argv
         flags = " ".join(arg for arg in argv if arg.startswith("--") and arg != "--output")
         assert decoded == expected.get((argv[0], flags), frames), argv
+
+
+def test_estimate_sizes_raw_dedup_models_without_serializing(small_chain, tmp_path, monkeypatch):
+    """A raw-record dedup model's row is arithmetic over the first sweep:
+    ``estimate`` serializes no tx for it, with or without prune, while
+    ``compact``, which builds the records, does."""
+    chain_path, data = small_chain
+    blocks = [decode_block(body) for body, _ in read_frames(io.BytesIO(data))]
+    assert _dedup_pays(blocks)
+    calls = []
+    real = wire._serialize
+
+    def spy(tx, codec):
+        calls.append(codec)
+        return real(tx, codec)
+
+    monkeypatch.setattr(wire, "_serialize", spy)
+    out = str(tmp_path / "report.csv")
+    for flags in (["--dedup-scripts"], ["--prune-blocks", "10", "--dedup-scripts"]):
+        assert cli.main(["estimate", chain_path, *flags, "--output", out]) == 0
+        assert calls == [], flags
+    assert cli.main(["compact", chain_path, str(tmp_path / "store"), "--dedup-scripts", "--output", out]) == 0
+    assert len(calls) == sum(len(block.transactions) for block in blocks)
 
 
 def test_one_decoded_block_is_alive_at_a_time(small_chain, tmp_path, monkeypatch):

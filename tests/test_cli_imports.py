@@ -4,8 +4,9 @@
 strategies or the fixture generator, so neither importing
 ``ledgerpack.cli`` nor running them may load those modules: a child
 interpreter without a bytecode cache compiles every module it imports.
-``analytics`` loads only for ``stats``, ``--prune-quantile`` and
-``--dedup-scripts``, and ``json`` only for ``--format ldjson``.  Each
+``analytics`` loads only for ``stats`` and ``--prune-quantile``, not
+for ``--dedup-scripts``, whose plan the store makes from its own script
+counts, and ``json`` only for ``--format ldjson``.  Each
 case runs in a fresh interpreter started without ``site``, because this
 process has already imported them all.
 
@@ -128,8 +129,8 @@ CSV_COMMANDS = [
     (["stats", "dormancy", "{chain}"], True),
     (["estimate", "{chain}", "--prune-quantile", "0.3"], True),
     (["compact", "{chain}", "{out}", "--prune-quantile", "0.3"], True),
-    (["estimate", "{chain}", "--dedup-scripts"], True),
-    (["compact", "{chain}", "{out}", "--dedup-scripts"], True),
+    (["estimate", "{chain}", "--dedup-scripts"], False),
+    (["compact", "{chain}", "{out}", "--dedup-scripts"], False),
 ]
 
 
