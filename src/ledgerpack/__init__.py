@@ -1,35 +1,3 @@
 """ledgerpack: parse Bitcoin-style ledgers, measure them, shrink their footprint."""
 
 __version__ = "0.1.0"
-
-from .errors import (
-    AnalyticsError,
-    ChainError,
-    ContinuityError,
-    DecodeError,
-    EncodeError,
-    FramingError,
-    GenerationError,
-    LedgerError,
-    QuantileUnreachableError,
-    StoreError,
-    StrategyError,
-    TruncationError,
-    UnknownInputError,
-)
-
-__all__ = [
-    "AnalyticsError",
-    "ChainError",
-    "ContinuityError",
-    "DecodeError",
-    "EncodeError",
-    "FramingError",
-    "GenerationError",
-    "LedgerError",
-    "QuantileUnreachableError",
-    "StoreError",
-    "StrategyError",
-    "TruncationError",
-    "UnknownInputError",
-]

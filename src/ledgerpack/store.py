@@ -144,9 +144,10 @@ class StoreModel:
     """Everything write_store puts on disk, with exact byte accounting.
 
     The model holds its records and nothing joined from them: each file
-    is written, hashed and measured from its parts.  ``bodies_size`` is
-    the body file's size, measured by the pass that chose the records,
-    so :meth:`sizes` sees no later change to them.
+    is written, hashed and measured from its parts.  ``bodies_size`` and
+    ``kvs_size`` are the body file's and the KVS's sizes, measured when
+    the records and the KVS were chosen, so :meth:`sizes` sees no later
+    change to them.
     """
 
     magic: int
@@ -159,6 +160,7 @@ class StoreModel:
     kvs: dict = field(default_factory=dict)
     slack_stats: SlackStats | None = None
     bodies_size: int = 0
+    kvs_size: int = 0
 
     def spine_bytes(self) -> bytes:
         return b"".join(_spine_parts(self.spine))
@@ -175,7 +177,7 @@ class StoreModel:
 
     def sizes(self) -> tuple:
         """The spine, body and KVS files' sizes, measured without joining them."""
-        return _size(_spine_parts(self.spine)), self.bodies_size, _size(_kvs_parts(self.kvs))
+        return _size(_spine_parts(self.spine)), self.bodies_size, self.kvs_size
 
     @property
     def retained_bytes(self) -> int:
@@ -305,10 +307,11 @@ class _Pass:
     :meth:`candidates` order on a tie.  Only the winner's slack tally
     is counted, so the stats reflect exactly the records chosen.  The
     pass keeps the tx positions a reader decodes at each height that has
-    a record (``readable``), its stats and its body file's size; the
-    records only with ``keep``; and, as the first pass of a dedup model,
-    the occurrences of every script field its records store (``sites``),
-    and when those records are raw, a :class:`_DedupSizer` (``sizer``).
+    a record (``readable``) and its body file's size; the records and
+    the slack stats only with ``keep``; and, as the first pass of a
+    dedup model, the occurrences of every script field its records store
+    (``sites``), and when those records are raw, a :class:`_DedupSizer`
+    (``sizer``).
     """
 
     def __init__(self, config, retained: tuple, minimized: dict, index, codec, keep: bool):
@@ -318,8 +321,9 @@ class _Pass:
         self.index = index
         self.codec = codec
         self.kvs = {} if codec is IDENTITY_CODEC else codec.kvs
+        self.kvs_size = 0  # the KVS's size, set with a dedup plan
         self.readable: dict = {}  # height -> tx positions a reader decodes there
-        self.stats = SlackStats() if config.slack else None
+        self.stats = SlackStats() if config.slack and keep else None
         self.bodies = [] if keep else None
         self.bodies_size = 0
         self.sites = Counter() if config.dedup and codec is IDENTITY_CODEC else None
@@ -366,9 +370,11 @@ class _Pass:
         every = range(len(txs))
         yield KIND_RAW, raw, None, every
         count = encode_varint(len(txs), block.tx_count_width)
+        # only a pass that keeps stats sums a candidate's tally
+        tally = _tally if self.stats is not None else lambda records: None
 
         def compact(records):
-            return KIND_COMPACT, b"".join([count, *(record for record, _ in records)]), _tally(records), every
+            return KIND_COMPACT, b"".join([count, *(record for record, _ in records)]), tally(records), every
 
         def slack_records(positions, decoded):
             return self.slack_records(txs, stored, witness_at, positions, height, decoded)
@@ -400,7 +406,7 @@ class _Pass:
             shared.update(zip(others, slack_records(others, every)[0]))
             yield compact([shared[p] for p in every])
         yield KIND_MINIMIZED, kept_stored, None, decoded
-        yield KIND_MINIMIZED, kept_slack, _tally(kept_records), decoded
+        yield KIND_MINIMIZED, kept_slack, tally(kept_records), decoded
 
     def slack_records(self, txs, stored, witness_at, positions, height: int, decoded) -> tuple:
         """The (record, tally) of the tx at each of ``positions``
@@ -449,22 +455,24 @@ def _sweep(blocks, passes) -> None:
             del block, forms  # so one decoded block is alive at a time
 
 
-def _retained(n_blocks: int, state: ChainState, config) -> tuple:
-    """``config``'s prune threshold, or None, and the first height whose body it keeps."""
+def _retained(n_blocks: int, state: ChainState, prune) -> tuple:
+    """The threshold of ``prune`` (a :class:`~ledgerpack.strategies.PruneConfig`
+    or None), or None, and the first height whose body it keeps."""
     tip = n_blocks - 1
-    if config.prune is None or tip < 0:
+    if prune is None or tip < 0:
         return None, 0
     cdf = None
-    if config.prune.mode == "quantile":
+    if prune.mode == "quantile":
         from .analytics import lifespan_cdf
 
         cdf = lifespan_cdf(state.spent_log, state.utxos, (0, tip), tip)
-    threshold = config.prune.resolve(cdf)
+    threshold = prune.resolve(cdf)
     return threshold, prune_keep_from(tip, threshold)
 
 
-def _encode(blocks, state: ChainState, configs, keep: bool) -> list:
-    """The winning encoding pass of each of ``configs``, none raw-only.
+def _encode(blocks, state: ChainState, configs, spans: dict, keep: bool) -> list:
+    """The winning encoding pass of each of ``configs``, none raw-only,
+    given ``spans`` (prune config -> :func:`_retained`).
 
     The passes advance in lockstep: one sweep over ``blocks`` feeds every
     first pass, and one more feeds the dedup passes.  A dedup model
@@ -473,7 +481,7 @@ def _encode(blocks, state: ChainState, configs, keep: bool) -> list:
     records takes that body file's size from its first pass's
     :class:`_DedupSizer`, and sweeps again only to build records that pay.
     """
-    retained = [_retained(len(blocks), state, config) for config in configs]
+    retained = [spans[config.prune] for config in configs]
     # height -> (ascending positions of txs that still carry UTXOs, serialized
     # co-path of them or None when none is dropped); the co-path depends only
     # on the txids, so every minimize pass shares it
@@ -499,23 +507,25 @@ def _encode(blocks, state: ChainState, configs, keep: bool) -> list:
         if first.sites is None:
             continue
         plan = dedup_scripts(first.sites)
+        kvs_size = _size(_kvs_parts(plan.kvs))
         sweep = bool(plan.rewrite)
         if sweep and first.sizer is not None:
             size = first.sizer.bodies_size(first.sites, plan.rewrite)
-            sweep = size + _size(_kvs_parts(plan.kvs)) < first.bodies_size
+            sweep = size + kvs_size < first.bodies_size
             if sweep and not keep:  # the first pass stands for the dedup pass
-                first.bodies_size, first.kvs, sweep = size, plan.kvs, False
+                first.bodies_size, first.kvs, first.kvs_size, sweep = size, plan.kvs, kvs_size, False
         first.sites = first.sizer = None
         if sweep:
-            # the codec keeps each rewritten script with its reference, so
-            # the plan, and its own set of them, is freed before the sweep
-            codec = RefScriptCodec(plan.rewrite, plan.kvs)
+            # the codec maps each script to its reference on its first
+            # encode, once the plan, and its own set of them, is freed
             span = (first.threshold, first.keep_from)
-            dedup.append((i, _Pass(first.config, span, first.minimized, state.index, codec, keep)))
+            second = _Pass(first.config, span, first.minimized, state.index, RefScriptCodec(plan.kvs), keep)
+            second.kvs_size = kvs_size
+            dedup.append((i, second))
         del plan
     _sweep(blocks, [second for _, second in dedup])
     for i, second in dedup:
-        if second.bodies_size + _size(_kvs_parts(second.kvs)) < passes[i].bodies_size:
+        if second.bodies_size + second.kvs_size < passes[i].bodies_size:
             passes[i] = second
     return passes
 
@@ -526,9 +536,9 @@ def _models(blocks, state: ChainState | None, configs, magic: int, keep: bool):
 
     A raw-only model's records are the blocks' wire bytes, which a frame
     index reads without decoding; without ``keep`` they are measured from
-    its frame sizes.  The other models come from :func:`_encode`.  A
-    caller that drops each model before taking the next holds one at a
-    time.
+    its frame sizes.  The other models come from :func:`_encode`.  Each
+    distinct prune config is resolved once.  A caller that drops each
+    model before taking the next holds one at a time.
     """
     indexed = isinstance(blocks, FrameIndex)
     if not indexed:
@@ -538,10 +548,14 @@ def _models(blocks, state: ChainState | None, configs, magic: int, keep: bool):
     tip = len(blocks) - 1
     hashes = state.index.spine[: tip + 1]
     headers = blocks.headers if indexed else [block.header for block in blocks]
-    encoded = iter(_encode(blocks, state, [config for config in configs if not config.raw_only()], keep))
+    spans = {}  # prune config -> its threshold and first kept height
+    for config in configs:
+        if config.prune not in spans:
+            spans[config.prune] = _retained(len(blocks), state, config.prune)
+    encoded = iter(_encode(blocks, state, [config for config in configs if not config.raw_only()], spans, keep))
     for config in configs:
         if config.raw_only():
-            threshold, keep_from = _retained(len(blocks), state, config)
+            threshold, keep_from = spans[config.prune]
             heights = range(keep_from, len(blocks))
             if keep:
                 bodies = [
@@ -552,14 +566,15 @@ def _models(blocks, state: ChainState | None, configs, magic: int, keep: bool):
                 bodies = None
                 sizes = [blocks.sizes[h] if indexed else len(encode_block(blocks[h])) for h in heights]
             bodies_size = sum(len(_body_head(KIND_RAW, h, n)) + n for h, n in zip(heights, sizes))
-            kvs, stats = {}, None
+            kvs, stats, kvs_size = {}, None, 0
         else:
             chosen = next(encoded)
             threshold, keep_from, heights = chosen.threshold, chosen.keep_from, chosen.readable
             bodies, bodies_size, kvs, stats = chosen.bodies, chosen.bodies_size, chosen.kvs, chosen.stats
+            kvs_size = chosen.kvs_size
         # a header for each height with a body record
         spine = [SpineRecord(block_hash, headers[h] if h in heights else None) for h, block_hash in enumerate(hashes)]
-        yield StoreModel(magic, tip, keep_from, config, threshold, spine, bodies, kvs, stats, bodies_size)
+        yield StoreModel(magic, tip, keep_from, config, threshold, spine, bodies, kvs, stats, bodies_size, kvs_size)
         del spine  # so it is freed with its model, before the next is built
 
 
@@ -612,9 +627,6 @@ class StoreView:
     spine: list
     bodies: list
     kvs: dict
-
-    def codec(self):
-        return RefScriptCodec(set(), self.kvs) if self.manifest.dedup else IDENTITY_CODEC
 
 
 def _parse_spine(data: bytes) -> list:
@@ -740,7 +752,7 @@ def walk_records(view: StoreView, txids: dict):
     txid goes in, and compact prevouts resolve against it.  A restored tx's
     wire bytes, serialized at most once, give both block bytes and txid.
     """
-    codec = view.codec()
+    codec = RefScriptCodec(view.kvs) if view.manifest.dedup else IDENTITY_CODEC
 
     def restore(height, tx_index, tx):
         raw, txids[(height, tx_index)] = encode_with_txid(tx)

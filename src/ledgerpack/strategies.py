@@ -27,6 +27,7 @@ import hashlib
 import struct
 from collections import Counter
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 from .errors import DecodeError, QuantileUnreachableError, StrategyError, TruncationError
 from .wire import (
@@ -343,13 +344,18 @@ class RefScriptCodec:
     scripts become a tag + 8-byte hash reference.
 
     The tag also records the original length-varint width so decoding
-    reproduces non-canonical encodings bit-exactly.  A rewritten script's
-    reference is read from ``kvs`` (reference -> script), not hashed again.
+    reproduces non-canonical encodings bit-exactly.  Every script of
+    ``kvs`` (reference -> script) is rewritten, its reference read from
+    ``kvs``, not hashed again; the script -> reference map is built on
+    the first :meth:`encode`, so a reader never builds it.
     """
 
-    def __init__(self, rewrite: set, kvs: dict):
+    def __init__(self, kvs: dict):
         self.kvs = kvs
-        self._refs = {script: ref for ref, script in kvs.items() if script in rewrite}
+
+    @cached_property
+    def _refs(self) -> dict:
+        return {script: ref for ref, script in self.kvs.items()}
 
     def encode(self, script: bytes, width: int) -> bytes:
         ref = self._refs.get(script)
@@ -589,9 +595,9 @@ def slack_encode(tx: Transaction, locator=None, stats: SlackStats | None = None,
     return record
 
 
-def slack_decode(data: bytes, resolver=None, offset: int = 0, codec=IDENTITY_CODEC) -> tuple[bytes, int]:
+def slack_decode(data: bytes, resolver=None, codec=IDENTITY_CODEC) -> tuple[bytes, int]:
     """Inverse of :func:`slack_encode`: (original transaction bytes, bytes consumed)."""
-    tx, used = slack_decode_tx(data, resolver, offset, codec)
+    tx, used = slack_decode_tx(data, resolver, 0, codec)
     return encode_transaction(tx), used
 
 
@@ -777,20 +783,15 @@ def slack_decode_tx(data: bytes, resolver=None, offset: int = 0, codec=IDENTITY_
 
 @dataclass
 class DedupPlan:
-    """Scripts chosen for the KVS plus the arithmetic savings report.
-
-    ``savings_bytes`` uses the abstract accounting (occurrences x length
-    freed, one stored copy plus one fixed-width reference per
-    occurrence); exact on-disk deltas depend on the store's token
-    framing and are computed there.
-    """
+    """Scripts chosen for the KVS: ``kvs`` maps each one's reference to
+    it, and ``rewrite`` holds them."""
 
     kvs: dict = field(default_factory=dict)  # ref -> script
     rewrite: set = field(default_factory=set)
-    candidate_scripts: int = 0
-    rewritten_scripts: int = 0
-    occurrences_rewritten: int = 0
-    savings_bytes: int = 0
+
+    @property
+    def rewritten_scripts(self) -> int:
+        return len(self.kvs)
 
 
 def dedup_scripts(counts_or_blocks) -> DedupPlan:
@@ -811,11 +812,7 @@ def dedup_scripts(counts_or_blocks) -> DedupPlan:
 
     plan = DedupPlan()
     for script, occ in counts.items():
-        if occ < 2:
-            continue
-        plan.candidate_scripts += 1
-        saving = len(script) * occ - (len(script) + occ * REF_LEN)
-        if saving <= 0:
+        if len(script) * (occ - 1) - REF_LEN * occ <= 0:
             continue
         ref = script_ref(script)
         clash = plan.kvs.get(ref)
@@ -823,9 +820,6 @@ def dedup_scripts(counts_or_blocks) -> DedupPlan:
             continue  # 64-bit prefix collision: leave the later script inline
         plan.kvs[ref] = script
         plan.rewrite.add(script)
-        plan.rewritten_scripts += 1
-        plan.occurrences_rewritten += occ
-        plan.savings_bytes += saving
     return plan
 
 

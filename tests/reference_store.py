@@ -113,7 +113,7 @@ class StoreView:
     kvs: dict
 
     def codec(self):
-        return RefScriptCodec(set(), self.kvs) if self.manifest.dedup else IDENTITY_CODEC
+        return RefScriptCodec(self.kvs) if self.manifest.dedup else IDENTITY_CODEC
 
 
 @dataclass

@@ -87,7 +87,7 @@ def _dedup_pays(blocks) -> bool:
         return sum(len(store._body_head(store.KIND_RAW, h, len(p))) + len(p) for h, p in enumerate(payloads))
 
     kvs = len(b"".join(store._kvs_parts(plan.kvs)))
-    return body_file(RefScriptCodec(plan.rewrite, plan.kvs)) + kvs < body_file(wire.IDENTITY_CODEC)
+    return body_file(RefScriptCodec(plan.kvs)) + kvs < body_file(wire.IDENTITY_CODEC)
 
 
 def _expected_decodes(data):

@@ -98,14 +98,14 @@ def _measured(blocks, state, config):
     """(the plan, the raw body file, the body file a pass that encodes each
     record under the plan measures, or None without a rewrite, and what
     the sizer says of it), for ``config``'s retained heights."""
-    retained = _retained(len(blocks), state, config)
+    retained = _retained(len(blocks), state, config.prune)
     first = _Pass(config, retained, {}, state.index, IDENTITY_CODEC, keep=False)
     _sweep(blocks, [first])
     plan = dedup_scripts(first.sites)
     assert plan.rewrite == dedup_scripts(blocks[retained[1] :]).rewrite
     if not plan.rewrite:
         return plan, first.bodies_size, None, None
-    second = _Pass(config, retained, {}, state.index, RefScriptCodec(plan.rewrite, plan.kvs), keep=False)
+    second = _Pass(config, retained, {}, state.index, RefScriptCodec(plan.kvs), keep=False)
     _sweep(blocks, [second])
     return plan, first.bodies_size, second.bodies_size, first.sizer.bodies_size(first.sites, plan.rewrite)
 
@@ -150,7 +150,7 @@ def test_the_edge_chains_have_their_edges():
     plan = dedup_scripts(blocks)
     assert {SHARED, bytes(32)} <= plan.rewrite
     identity = encode_block(blocks[1])
-    under_plan = encode_block(blocks[1], RefScriptCodec(plan.rewrite, plan.kvs))
+    under_plan = encode_block(blocks[1], RefScriptCodec(plan.kvs))
     assert len(identity) >= 253 > len(under_plan)
     assert len(_body_head(KIND_RAW, 1, len(identity))) == len(_body_head(KIND_RAW, 1, len(under_plan))) + 2
 

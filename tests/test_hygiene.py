@@ -1,14 +1,17 @@
-"""Source hygiene: no import, name or parameter in ``ledgerpack`` goes
-unused.
+"""Source hygiene: no import, name, parameter or class member in
+``ledgerpack`` goes unused.
 
 Every module-level import must be used in its module, every import
 inside a function must be used in that function, every module-level
 private (``_name``) function or class must be referenced there, and
 every parameter of a function must be read in its body (a method's
-``self`` or ``cls`` excepted).  ``__init__.py`` is exempt: its imports
-are the package's re-exports.  Every public module-level function,
-class or alias must be loaded somewhere in the package, or be named in
-``LIBRARY_API``, which the README's library-API paragraph lists too.
+``self`` or ``cls`` excepted).  ``__init__.py`` re-exports nothing, so
+it is checked like every other module.  Every public module-level
+function, class or alias must be loaded somewhere in the package, or be
+named in ``LIBRARY_API``, which the README's library-API paragraph lists
+too.  Every field, method and property of a class must be read in the
+package or the benchmark, or be named in ``UNREAD_MEMBERS`` with the
+tests that read it.
 """
 
 import ast
@@ -18,8 +21,9 @@ import re
 import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "ledgerpack"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(SRC.glob("*.py"))
 README = SRC.parent.parent / "README.md"
+PERFBENCH = SRC.parent.parent / "perfbench"
 
 # Public names that nothing in the package calls, kept on purpose as
 # library API: the tests and the benchmark call them.  The set is exact.
@@ -64,7 +68,7 @@ def _private_defs(tree) -> list:
 
 
 def test_every_module_is_checked():
-    assert {p.name for p in MODULES} >= {"wire.py", "chain.py", "strategies.py", "store.py", "cli.py"}
+    assert {p.name for p in MODULES} >= {"__init__.py", "wire.py", "chain.py", "strategies.py", "store.py", "cli.py"}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -167,3 +171,85 @@ def test_readme_lists_exactly_the_library_api():
     assert sorted(name for _, name in named) == sorted(LIBRARY_API)
     misplaced = [f"{module}.{name}" for module, name in named if name not in _public_defs(_tree(SRC / f"{module}.py"))]
     assert not misplaced, f"the README names these in the wrong module: {misplaced}"
+
+
+# Class members that nothing in the package or the benchmark reads, kept
+# on purpose, each with the tests that read it.  The set is exact.
+_CRITERION_2 = "test_acceptance.py, criterion 2 (slack round-trip incl. every escape path)"
+UNREAD_MEMBERS = {
+    "SlackStats.version_escapes": _CRITERION_2,
+    "SlackStats.locktime_escapes": _CRITERION_2,
+    "SlackStats.sequence_escapes": _CRITERION_2,
+    "SlackStats.prevout_coinbase": _CRITERION_2,
+    "SlackStats.prevout_local": _CRITERION_2,
+    "SlackStats.prevout_verbatim": _CRITERION_2,
+    "SlackStats.prevout_bigindex_fallback": _CRITERION_2,
+    "StorageReport.baseline_bytes": "test_store.py",
+    "LifespanCdf.created_in": "test_analytics.py and test_strategies.py build a LifespanCdf positionally",
+    "LifespanCdf.fraction_within": "test_analytics.py",
+    "MinimizedBlock.raw_bytes": "test_strategies.py and test_minimize_serialize_once.py",
+}
+
+_NAMING_CALLS = ("getattr", "hasattr", "attrgetter")
+
+
+def _member_reads(tree) -> set:
+    """Attribute names read in a module: by attribute, or named as a string
+    to ``getattr``, ``hasattr`` or ``attrgetter``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in _NAMING_CALLS:
+            strings = [arg.value for arg in node.args if isinstance(arg, ast.Constant) and isinstance(arg.value, str)]
+            names.update(part for string in strings for part in string.split("."))
+    return names
+
+
+def _read_through_fields(tree) -> set:
+    """Classes some function reads every field of: it lists them with
+    ``dataclasses.fields`` and reads each by ``getattr(obj, f.name)``.
+    Listing fields only to add to each (``SlackStats.count``) or to name
+    constructor arguments (``ChainPlan`` in the CLI) reads no value."""
+    classes = set()
+    for owner in [tree, *(node for node in ast.walk(tree) if isinstance(node, ast.ClassDef))]:
+        for fn in ast.iter_child_nodes(owner):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            calls = [node for node in ast.walk(fn) if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+            if not any(
+                c.func.id == "getattr" and len(c.args) > 1 and getattr(c.args[1], "attr", None) == "name" for c in calls
+            ):
+                continue
+            for c in calls:
+                if c.func.id == "fields" and c.args and isinstance(c.args[0], ast.Name):
+                    name = c.args[0].id
+                    classes.add(owner.name if name == "self" and owner is not tree else name)
+    return classes
+
+
+def _class_members(tree) -> list:
+    """(class, member) for every annotated field and every method or
+    property, dunders excepted, of each class in a module."""
+    members = []
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for stmt in cls.body:
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                members.append((cls.name, stmt.target.id))
+            elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) and not stmt.name.startswith("__"):
+                members.append((cls.name, stmt.name))
+    return members
+
+
+def test_every_class_member_is_read_or_named_with_its_reader():
+    readers = [_tree(path) for path in [*MODULES, *sorted(PERFBENCH.glob("*.py"))]]
+    read = set().union(*map(_member_reads, readers))
+    through_fields = set().union(*map(_read_through_fields, readers))
+    assert {"Manifest", "StrategyConfig"} <= through_fields
+    members = [member for path in MODULES for member in _class_members(_tree(path))]
+    unread = {f"{cls}.{name}" for cls, name in members if name not in read and cls not in through_fields}
+    assert not unread - UNREAD_MEMBERS.keys(), f"class members nothing reads: {sorted(unread - UNREAD_MEMBERS.keys())}"
+    stale = UNREAD_MEMBERS.keys() - unread
+    assert not stale, f"UNREAD_MEMBERS names that are gone or now have a reader: {sorted(stale)}"

@@ -32,7 +32,7 @@ def _ref_codec(txs):
         | {item for tx in txs for stack in tx.witnesses for item in stack.items}
     )
     # every other script goes behind a reference; the rest stay inline
-    return RefScriptCodec(set(scripts[::2]), {script_ref(s): s for s in scripts})
+    return RefScriptCodec({script_ref(s): s for s in scripts[::2]})
 
 
 CORPUS = gen_tx_corpus(7707, 400).transactions

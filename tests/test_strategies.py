@@ -403,43 +403,41 @@ def test_dedup_savings_arithmetic_four_copies():
     script = bytes(range(25))
     plan = dedup_scripts(Counter({script: 4}))
     assert plan.rewritten_scripts == 1
-    assert plan.savings_bytes == 100 - (25 + 4 * 8) == 43
     assert plan.kvs == {script_ref(script): script}
+    assert plan.rewrite == {script}
 
 
 def test_dedup_unique_scripts_do_nothing():
     plan = dedup_scripts(Counter({b"\x01" * 30: 1, b"\x02" * 40: 1}))
     assert plan.rewritten_scripts == 0
-    assert plan.savings_bytes == 0
     assert plan.kvs == {}
 
 
 def test_dedup_short_scripts_stay_inline():
     plan = dedup_scripts(Counter({b"\x01" * 8: 100}))
-    assert plan.candidate_scripts == 1
     assert plan.rewritten_scripts == 0
     # 9 bytes repeated 10 times: 9*9=81 > 80, barely worth it
     plan = dedup_scripts(Counter({b"\x02" * 9: 10}))
     assert plan.rewritten_scripts == 1
-    assert plan.savings_bytes == 1
     plan = dedup_scripts(Counter({b"\x03" * 9: 2}))
     assert plan.rewritten_scripts == 0
 
 
 def test_dedup_from_blocks_pools_both_sides():
-    s = b"\xab" * 20
+    # 16 bytes at 3 sites saves 48 - (16 + 24) = 8; at either side's 2 sites it saves nothing
+    s = b"\xab" * 16
     cb = coinbase_tx(0, out_scripts=[s, s])
     t = spend_tx([outpoint(cb, 0)], out_scripts=[b"\x01"], in_script=s)
     blocks = build_blocks([[cb], [coinbase_tx(1), t]])
     plan = dedup_scripts(blocks)
     assert s in plan.rewrite
-    assert plan.occurrences_rewritten == 3
+    assert s not in dedup_scripts(Counter({s: 2})).rewrite
 
 
 def test_ref_codec_roundtrips_bit_exactly():
     s = b"\xcd" * 30
     plan = DedupPlan(kvs={script_ref(s): s}, rewrite={s})
-    codec = RefScriptCodec(plan.rewrite, plan.kvs)
+    codec = RefScriptCodec(plan.kvs)
     tx = Transaction(
         2,
         [TxIn(OutPoint(b"\x01" * 32, 0), s, 0xFFFFFFFF, script_len_width=3)],
@@ -463,7 +461,7 @@ def test_ref_codec_roundtrips_bit_exactly():
 
 
 def test_ref_codec_missing_ref_and_bad_token():
-    codec = RefScriptCodec(set(), {})
+    codec = RefScriptCodec({})
     with pytest.raises(DecodeError, match="not in KVS"):
         codec.decode(b"\x01" + b"\x00" * 8, 0)
     with pytest.raises(DecodeError, match="token"):

@@ -157,7 +157,7 @@ def corpus():
 @pytest.fixture(scope="module")
 def ref_codec(corpus):
     scripts = {txout.script for tx in corpus for txout in tx.outputs if len(txout.script) > 8}
-    return RefScriptCodec(scripts, {script_ref(s): s for s in scripts})
+    return RefScriptCodec({script_ref(s): s for s in scripts})
 
 
 @pytest.fixture(scope="module")

@@ -87,7 +87,7 @@ def test_decoded_block_encodes_to_its_frame_body():
 
 def test_ref_codec_decode_has_no_span(corpus):
     scripts = {txout.script for tx in corpus.transactions for txout in tx.outputs if len(txout.script) > 8}
-    codec = RefScriptCodec(scripts, {script_ref(s): s for s in scripts})
+    codec = RefScriptCodec({script_ref(s): s for s in scripts})
     for built in corpus.transactions[:200]:
         stored = encode_transaction(built, codec)
         tx, used = decode_transaction(stored, 0, codec)
