@@ -43,9 +43,9 @@ class ChainIndex:
         return None
 
 
-# The per-output records are named tuples: hashing, equality and
-# construction run in C, and there are many of them.
-UtxoEntry = namedtuple("UtxoEntry", ["outpoint", "value", "script", "creation_height"])
+# The per-output records are named tuples, hashed and built in C.  An
+# unspent output keeps no value or script: no report or store reads them.
+UtxoEntry = namedtuple("UtxoEntry", ["outpoint", "creation_height"])
 
 
 class SpentRecord(namedtuple("SpentRecord", ["outpoint", "creation_height", "spend_height"])):
@@ -100,9 +100,9 @@ class ChainState:
 
             t = txid(tx)
             height_txids.append(t)
-            for out_index, txout in enumerate(tx.outputs):
+            for out_index in range(len(tx.outputs)):
                 outpoint = _tuple_new(OutPoint, (t, out_index))
-                utxos[outpoint] = _tuple_new(UtxoEntry, (outpoint, txout.value, txout.script, height))
+                utxos[outpoint] = _tuple_new(UtxoEntry, (outpoint, height))
 
         self.spends += spends
         index.spine.append(block.block_hash())

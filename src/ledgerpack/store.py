@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -43,11 +44,11 @@ from .strategies import (
     copath_nodes,
     dedup_scripts,
     deserialize_minimized,
+    kept_parts,
     prune_keep_from,
     reduction_percent,
     script_ref,
     serialize_copath,
-    serialize_kept,
     slack_decode_tx,
     slack_floor,
     slack_record,
@@ -214,16 +215,21 @@ def _tally(records) -> list:
     return [sum(column) for column in zip(*(tally for _, tally in records))]
 
 
+def _holds(positions, i: int) -> bool:
+    """Whether ascending ``positions`` (a range or a kept list) hold ``i``."""
+    at = bisect_left(positions, i)
+    return at < len(positions) and positions[at] == i
+
+
 def _stored_forms(block: Block, codec) -> tuple:
-    """Each tx's stored form and its witness offset, and the raw record they
-    join to: serialized once per block and codec, and shared by every
-    pass's raw, slack and minimized-stored records."""
+    """Each tx's stored form and its witness offset, serialized once per
+    block and codec for every pass's raw, slack and minimized-stored records."""
     stored, witness_at = [], []
     for tx in block.transactions:
         raw, at = encode_with_witness_at(tx, codec)
         stored.append(raw)
         witness_at.append(at)
-    return stored, witness_at, join_block(block, stored)
+    return stored, witness_at
 
 
 def _stored_scripts(txs, positions, widths=None) -> list:
@@ -232,7 +238,7 @@ def _stored_scripts(txs, positions, widths=None) -> list:
     canonical) is appended there in the same order."""
     scripts = []
     extend = scripts.extend
-    for i in sorted(positions):
+    for i in positions:
         tx = txs[i]
         extend([txin.script for txin in tx.inputs])
         extend([txout.script for txout in tx.outputs])
@@ -304,14 +310,14 @@ class _Pass:
     height order.
 
     Per block the shortest candidate payload wins, the earliest in
-    :meth:`candidates` order on a tie.  Only the winner's slack tally
-    is counted, so the stats reflect exactly the records chosen.  The
-    pass keeps the tx positions a reader decodes at each height that has
-    a record (``readable``) and its body file's size; the records and
-    the slack stats only with ``keep``; and, as the first pass of a
-    dedup model, the occurrences of every script field its records store
-    (``sites``), and when those records are raw, a :class:`_DedupSizer`
-    (``sizer``).
+    :meth:`candidates` order on a tie; only a kept winner is joined, and
+    only its slack tally is summed and counted.  The pass keeps the tx
+    positions a reader decodes at each height that has a record
+    (``readable``: a range, or a minimized height's kept list) and its
+    body file's size; the records and the slack stats only with ``keep``;
+    and, as the first pass of a dedup model, the occurrences of every
+    script field its records store (``sites``), and when those records
+    are raw, a :class:`_DedupSizer` (``sizer``).
     """
 
     def __init__(self, config, retained: tuple, minimized: dict, index, codec, keep: bool):
@@ -340,24 +346,25 @@ class _Pass:
         if self.codec not in forms:
             forms[self.codec] = _stored_forms(block, self.codec)
         candidates = self.candidates(block, height, *forms[self.codec])
-        # min() keeps the first of equal payloads
-        kind, payload, tally, self.readable[height] = min(candidates, key=lambda c: len(c[1]))
-        if tally is not None:
-            self.stats.count(tally)
-        self.bodies_size += len(_body_head(kind, height, len(payload))) + len(payload)
+        # min() keeps the first of equal sizes
+        size, kind, parts, records, self.readable[height] = min(candidates, key=lambda c: c[0])
+        if records is not None and self.stats is not None:
+            self.stats.count(_tally(records))
+        self.bodies_size += len(_body_head(kind, height, size)) + size
         if self.bodies is not None:
-            self.bodies.append(BodyRecord(height, kind, payload))
+            self.bodies.append(BodyRecord(height, kind, b"".join(parts)))
         if self.sites is not None:
             widths = None if self.sizer is None else []
             scripts = _stored_scripts(block.transactions, self.readable[height], widths)
             self.sites.update(scripts)
             if widths is not None:
-                self.sizer.add(height, len(payload), scripts, widths)
+                self.sizer.add(height, size, scripts, widths)
 
-    def candidates(self, block: Block, height: int, stored: list, witness_at: list, raw: bytes):
+    def candidates(self, block: Block, height: int, stored: list, witness_at: list):
         """Yield the block's faithful records in tie-break order, each as
-        (kind, payload, its slack tally or None, the tx positions a reader
-        decodes), given its :func:`_stored_forms`.
+        (payload size, kind, the parts the payload joins from, the slack
+        (record, tally) pairs it stores or None, the ascending tx positions
+        a reader decodes), given its :func:`_stored_forms`.
 
         A minimized block's kept txs are slack-encoded first.  A kept tx
         that left no prevout unresolved has the same record in the compact
@@ -368,13 +375,14 @@ class _Pass:
         """
         txs = block.transactions
         every = range(len(txs))
-        yield KIND_RAW, raw, None, every
         count = encode_varint(len(txs), block.tx_count_width)
-        # only a pass that keeps stats sums a candidate's tally
-        tally = _tally if self.stats is not None else lambda records: None
+        raw = [block.header.encode(), count, *stored]
+        raw_size = _size(raw)
+        yield raw_size, KIND_RAW, raw, None, every
 
         def compact(records):
-            return KIND_COMPACT, b"".join([count, *(record for record, _ in records)]), tally(records), every
+            parts = [count, *(record for record, _ in records)]
+            return _size(parts), KIND_COMPACT, parts, records, every
 
         def slack_records(positions, decoded):
             return self.slack_records(txs, stored, witness_at, positions, height, decoded)
@@ -386,27 +394,26 @@ class _Pass:
                 yield compact(slack_records(every, every)[0])
             return
 
-        decoded = set(kept)
-
-        def minimized(tx_mode, tx_records):
+        def minimized(tx_mode, tx_bytes, records=None):
             # payload: 1-byte kept-tx form (0 = stored, 1 = slack) + co-path serialization
-            return bytes([tx_mode]) + serialize_kept(len(txs), list(zip(kept, tx_records))) + copath
+            parts = [bytes([tx_mode]), *kept_parts(len(txs), kept, tx_bytes), copath]
+            return _size(parts), KIND_MINIMIZED, parts, records, kept
 
         kept_stored = minimized(0, [stored[p] for p in kept])
         if not self.config.slack:
-            yield KIND_MINIMIZED, kept_stored, None, decoded
+            yield kept_stored
             return
-        kept_records, unresolved = slack_records(kept, decoded)
-        kept_slack = minimized(1, [record for record, _ in kept_records])
+        kept_records, unresolved = slack_records(kept, kept)
+        kept_slack = minimized(1, [record for record, _ in kept_records], kept_records)
         shared = {p: rec for p, rec in zip(kept, kept_records) if p not in unresolved}
         others = [p for p in every if p not in shared]
         floor = len(count) + _size(record for record, _ in shared.values())
         floor += sum(slack_floor(txs[p], stored[p]) for p in others)
-        if floor < len(raw) and floor <= min(len(kept_stored), len(kept_slack)):
+        if floor < raw_size and floor <= min(kept_stored[0], kept_slack[0]):
             shared.update(zip(others, slack_records(others, every)[0]))
             yield compact([shared[p] for p in every])
-        yield KIND_MINIMIZED, kept_stored, None, decoded
-        yield KIND_MINIMIZED, kept_slack, tally(kept_records), decoded
+        yield kept_stored
+        yield kept_slack
 
     def slack_records(self, txs, stored, witness_at, positions, height: int, decoded) -> tuple:
         """The (record, tally) of the tx at each of ``positions``
@@ -428,10 +435,10 @@ class _Pass:
             if pos is None:
                 return None
             if pos[0] != height:
-                return pos if pos[1] in readable.get(pos[0], ()) else None
+                return pos if _holds(readable.get(pos[0], ()), pos[1]) else None
             if pos[1] >= p:
                 return None
-            if pos[1] not in decoded:
+            if not _holds(decoded, pos[1]):
                 unresolved.add(p)
                 return None
             return pos
@@ -483,8 +490,8 @@ def _encode(blocks, state: ChainState, configs, spans: dict, keep: bool) -> list
     """
     retained = [spans[config.prune] for config in configs]
     # height -> (ascending positions of txs that still carry UTXOs, serialized
-    # co-path of them or None when none is dropped); the co-path depends only
-    # on the txids, so every minimize pass shares it
+    # co-path of them or None when none is dropped); both depend only on the
+    # txids, so every minimize pass shares them
     minimized = {}
     starts = [keep_from for config, (_, keep_from) in zip(configs, retained) if config.minimize]
     if starts:

@@ -14,7 +14,7 @@ Three independent levers plus an optional script dedup:
   8-byte hash references.
 
 Everything here is pure; file layout lives in `store`.  The store runs
-``copath_nodes``, ``serialize_kept``/``serialize_copath``,
+``copath_nodes``, ``kept_parts``/``serialize_copath``,
 ``slack_record`` with its lower bound ``slack_floor``, and the one slack
 decoder, ``slack_decode_tx``.
 ``minimize_block``, ``verify_tx_in_minimized``, ``slack_encode`` and
@@ -193,14 +193,15 @@ def copath_nodes(ids: list, positions) -> dict:
     return {(lv, ix): levels[lv][ix] for lv, ix in copath_coordinates(len(ids), positions)}
 
 
-def serialize_kept(n_leaves: int, kept) -> bytes:
-    """Co-path record head: leaf count, then the kept txs by position."""
-    parts = [encode_varint(n_leaves), encode_varint(len(kept))]
-    for pos, tx_bytes in kept:
-        parts.append(encode_varint(pos))
-        parts.append(encode_varint(len(tx_bytes)))
-        parts.append(tx_bytes)
-    return b"".join(parts)
+def kept_parts(n_leaves: int, positions: list, txs):
+    """Co-path record head, in the parts it joins from: leaf count, then
+    the kept txs' bytes ``txs`` by their ``positions``."""
+    yield encode_varint(n_leaves)
+    yield encode_varint(len(positions))
+    for pos, tx_bytes in zip(positions, txs):
+        yield encode_varint(pos)
+        yield encode_varint(len(tx_bytes))
+        yield tx_bytes
 
 
 def serialize_copath(nodes: dict) -> bytes:
@@ -217,7 +218,8 @@ def serialize_minimized(mb: MinimizedBlock) -> bytes:
     """Co-path record payload: leaf count, kept txs by position, nodes."""
     if mb.mode != "copath":
         raise StrategyError(f"only copath mode serializes this way, not {mb.mode!r}")
-    return serialize_kept(mb.n_leaves, mb.kept) + serialize_copath(mb.nodes)
+    head = kept_parts(mb.n_leaves, [pos for pos, _ in mb.kept], [tx for _, tx in mb.kept])
+    return b"".join(head) + serialize_copath(mb.nodes)
 
 
 def deserialize_minimized(payload: bytes, block_hash: bytes, merkle_root: bytes) -> MinimizedBlock:

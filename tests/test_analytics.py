@@ -26,9 +26,7 @@ def make_log(pairs):
 
 def make_utxos(heights):
     return {
-        OutPoint(bytes([9]) * 31 + bytes([i]), 0): UtxoEntry(
-            OutPoint(bytes([9]) * 31 + bytes([i]), 0), 1000, b"\x51", h
-        )
+        OutPoint(bytes([9]) * 31 + bytes([i]), 0): UtxoEntry(OutPoint(bytes([9]) * 31 + bytes([i]), 0), h)
         for i, h in enumerate(heights)
     }
 
@@ -331,7 +329,7 @@ def test_dormancy_bucket_sum_is_set_size():
     utxos = make_utxos([])
     for i, h in enumerate(heights):
         op = OutPoint(i.to_bytes(32, "little"), 0)
-        utxos[op] = UtxoEntry(op, 1, b"", h)
+        utxos[op] = UtxoEntry(op, h)
     stats = dormancy_stats(utxos, 7, 50)
     assert sum(stats.buckets) == 200
     assert len(stats.buckets) == (50 + 6) // 7

@@ -9,14 +9,17 @@ every parameter of a function must be read in its body (a method's
 it is checked like every other module.  Every public module-level
 function, class or alias must be loaded somewhere in the package, or be
 named in ``LIBRARY_API``, which the README's library-API paragraph lists
-too.  Every field, method and property of a class must be read in the
-package or the benchmark, or be named in ``UNREAD_MEMBERS`` with the
-tests that read it.
+too.  Every field, method and property of a class, a named tuple's
+fields included, must be read in the package or the benchmark, or be
+named in ``UNREAD_MEMBERS`` with the tests that read it.  A named-tuple
+field that shares its name with another class's member is read only
+where ``TUPLE_FIELD_READERS`` says.
 """
 
 import ast
 import pathlib
 import re
+from collections import Counter
 
 import pytest
 
@@ -188,6 +191,18 @@ UNREAD_MEMBERS = {
     "LifespanCdf.created_in": "test_analytics.py and test_strategies.py build a LifespanCdf positionally",
     "LifespanCdf.fraction_within": "test_analytics.py",
     "MinimizedBlock.raw_bytes": "test_strategies.py and test_minimize_serialize_once.py",
+    "SpentRecord.outpoint": "test_chain.py",
+}
+
+# Named-tuple fields whose name is a member of another package class too,
+# so a read of that attribute name does not show which class it reads:
+# each with a function (module.qualname) that reads it from the tuple.  The
+# set is exact.
+TUPLE_FIELD_READERS = {
+    "OutPoint.index": "chain.ChainState.connect",  # prevout.index
+    "UtxoEntry.outpoint": "chain.ChainState.connect",  # the spend log's outpoint
+    "UtxoEntry.creation_height": "analytics.dormancy_stats",
+    "SpentRecord.creation_height": "analytics.lifespan_cdf",
 }
 
 _NAMING_CALLS = ("getattr", "hasattr", "attrgetter")
@@ -243,6 +258,32 @@ def _class_members(tree) -> list:
     return members
 
 
+def _tuple_fields(tree) -> list:
+    """(class, field) for every field of each named tuple in a module,
+    made as ``X = namedtuple("X", [...])`` or ``class X(namedtuple("X", [...]))``."""
+    fields = []
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ClassDef):
+            name, calls = stmt.name, stmt.bases
+        elif isinstance(stmt, ast.Assign) and isinstance(stmt.targets[0], ast.Name):
+            name, calls = stmt.targets[0].id, [stmt.value]
+        else:
+            continue
+        for call in calls:
+            if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "namedtuple":
+                fields += [(name, elt.value) for elt in call.args[1].elts]
+    return fields
+
+
+def _reads_attribute(qualname: str, attr: str) -> bool:
+    """Whether the function ``module.qualname`` reads ``attr`` by attribute."""
+    module, *names = qualname.split(".")
+    node = _tree(SRC / f"{module}.py")
+    for name in names:
+        node = next(n for n in node.body if getattr(n, "name", None) == name)
+    return any(isinstance(n, ast.Attribute) and n.attr == attr and isinstance(n.ctx, ast.Load) for n in ast.walk(node))
+
+
 def test_every_class_member_is_read_or_named_with_its_reader():
     readers = [_tree(path) for path in [*MODULES, *sorted(PERFBENCH.glob("*.py"))]]
     read = set().union(*map(_member_reads, readers))
@@ -250,6 +291,14 @@ def test_every_class_member_is_read_or_named_with_its_reader():
     assert {"Manifest", "StrategyConfig"} <= through_fields
     members = [member for path in MODULES for member in _class_members(_tree(path))]
     unread = {f"{cls}.{name}" for cls, name in members if name not in read and cls not in through_fields}
+    fields = [field for path in MODULES for field in _tuple_fields(_tree(path))]
+    assert {cls for cls, _ in fields} >= {"OutPoint", "UtxoEntry", "SpentRecord"}
+    owners = Counter(name for _, name in set(members + fields))
+    shared = {f"{cls}.{name}" for cls, name in fields if owners[name] > 1}
+    assert shared >= TUPLE_FIELD_READERS.keys(), f"not shared: {sorted(TUPLE_FIELD_READERS.keys() - shared)}"
+    unread |= {f"{cls}.{name}" for cls, name in fields if name not in read} | shared - TUPLE_FIELD_READERS.keys()
+    unnamed = [key for key, reader in TUPLE_FIELD_READERS.items() if not _reads_attribute(reader, key.split(".")[1])]
+    assert not unnamed, f"TUPLE_FIELD_READERS names functions that do not read these: {unnamed}"
     assert not unread - UNREAD_MEMBERS.keys(), f"class members nothing reads: {sorted(unread - UNREAD_MEMBERS.keys())}"
     stale = UNREAD_MEMBERS.keys() - unread
     assert not stale, f"UNREAD_MEMBERS names that are gone or now have a reader: {sorted(stale)}"

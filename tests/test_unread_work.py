@@ -5,8 +5,8 @@ scripts and segwit), with the prune+minimize+slack+dedup flags:
 
 - ``estimate`` reports sizes only, so it keeps no slack stats: it never
   sums a candidate's slack tally nor counts one into a ``SlackStats``.
-  ``compact`` prints its stats: each encoding pass counts each
-  slack-encoded record it chooses once.
+  ``compact`` prints its stats: each encoding pass sums and counts the
+  tally of each slack-encoded record it chooses once, and no other.
 - Each dedup plan's KVS is measured once, when the plan is made.
   ``compact`` then takes it twice more, to hash it and to write it.
 - Each distinct prune config is resolved once per command, so a
@@ -99,7 +99,7 @@ def test_compact_counts_each_chosen_record_and_uses_the_kvs_three_times(chain, c
     # the first pass and the dedup pass, which the store keeps
     per_pass = [n for key, n in calls.items() if isinstance(key, tuple)]
     assert slack > 0 and len(per_pass) == 2 and slack in per_pass
-    assert calls["count"] == sum(per_pass) <= calls["_tally"]
+    assert calls["count"] == sum(per_pass) == calls["_tally"]
     assert "slack_txs" in out
     # measured with the plan, then hashed into the manifest and written
     assert calls["plans that rewrite"] == 1
