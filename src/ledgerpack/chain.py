@@ -12,7 +12,7 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 
 from .errors import ContinuityError, UnknownInputError
-from .wire import COINBASE_PREVOUT_HASH, COINBASE_PREVOUT_INDEX, Block, OutPoint, _tuple_new, hash_hex, txid
+from .wire import COINBASE_PREVOUT_HASH, COINBASE_PREVOUT_INDEX, Block, BlockHeader, OutPoint, _tuple_new, hash_hex, txid
 
 
 @dataclass(slots=True)
@@ -46,6 +46,7 @@ class ChainIndex:
 # The per-output records are named tuples, hashed and built in C.  An
 # unspent output keeps no value or script: no report or store reads them.
 UtxoEntry = namedtuple("UtxoEntry", ["outpoint", "creation_height"])
+_COINBASE_PREVOUT = (COINBASE_PREVOUT_HASH, COINBASE_PREVOUT_INDEX)
 
 
 class SpentRecord(namedtuple("SpentRecord", ["outpoint", "creation_height", "spend_height"])):
@@ -65,47 +66,53 @@ class ChainState:
     spends: int = 0  # outputs spent so far, counted with or without the log
 
     def connect(self, block: Block) -> None:
-        """Connect the next block, at height tip + 1.
+        """Connect the next block, at height tip + 1: :meth:`connect_links`
+        over its transactions' links."""
+        links = ((txid(tx), [txin.previous_output for txin in tx.inputs], len(tx.outputs)) for tx in block.transactions)
+        self.connect_links(block.header, links)
+
+    def connect_links(self, header: BlockHeader, links) -> None:
+        """Connect the next block from its header and, per transaction, its
+        ``(txid, spent outpoints, output count)``, as
+        :func:`ledgerpack.wire.block_links` gives them.
 
         Every output enters the UTXO set, provably unspendable ones (a
         leading OP_RETURN byte) included.  A logged spend's outpoint is the
-        one the UTXO set held, not the input's decoded prevout, so the log
-        keeps no decoded block's objects alive.
+        one the UTXO set held, not the input's prevout, so the log keeps
+        no block's objects alive.
         """
         index, utxos, log = self.index, self.utxos, self.spent_log
         height = len(index.spine)
-        if height > 0 and block.header.prev_block_hash != index.tip_hash():
+        if height > 0 and header.prev_block_hash != index.tip_hash():
             raise ContinuityError(
-                f"block at height {height} links to {hash_hex(block.header.prev_block_hash)}, "
+                f"block at height {height} links to {hash_hex(header.prev_block_hash)}, "
                 f"tip is {hash_hex(index.tip_hash())}"
             )
 
         spends = 0
         height_txids = []
         pop = utxos.pop
-        for tx_index, tx in enumerate(block.transactions):
-            for txin in tx.inputs:
-                prevout = txin.previous_output
-                if prevout.index == COINBASE_PREVOUT_INDEX and prevout.tx_hash == COINBASE_PREVOUT_HASH:
+        for tx_index, (t, spent, n_out) in enumerate(links):
+            for prevout in spent:
+                if prevout == _COINBASE_PREVOUT:
                     continue
                 entry = pop(prevout, None)
                 if entry is None:
+                    tx_hash, out_index = prevout
                     raise UnknownInputError(
-                        f"height {height} tx {tx_index} spends unknown outpoint "
-                        f"{hash_hex(prevout.tx_hash)}:{prevout.index}"
+                        f"height {height} tx {tx_index} spends unknown outpoint {hash_hex(tx_hash)}:{out_index}"
                     )
                 spends += 1
                 if log is not None:
                     log.append(_tuple_new(SpentRecord, (entry.outpoint, entry.creation_height, height)))
 
-            t = txid(tx)
             height_txids.append(t)
-            for out_index in range(len(tx.outputs)):
+            for out_index in range(n_out):
                 outpoint = _tuple_new(OutPoint, (t, out_index))
                 utxos[outpoint] = _tuple_new(UtxoEntry, (outpoint, height))
 
         self.spends += spends
-        index.spine.append(block.block_hash())
+        index.spine.append(header.block_hash())
         index.txids.append(height_txids)
         index._locator = None
 

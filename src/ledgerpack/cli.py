@@ -25,12 +25,13 @@ import sys
 from collections import deque
 from dataclasses import fields
 from functools import partial
-from operator import attrgetter
+from itertools import starmap
+from operator import itemgetter
 
 from .chain import ChainState
 from .errors import LedgerError
 from .reporting import render_rows, write_output
-from .wire import MAINNET_MAGIC, SEGWIT_BOUNDARY, FrameIndex, decode_block, hash_hex, read_frames
+from .wire import MAINNET_MAGIC, SEGWIT_BOUNDARY, FrameIndex, block_links, decode_block, hash_hex, read_frames
 
 
 def _magic_int(text: str) -> int:
@@ -109,18 +110,30 @@ def _strategy_config(args):
     return StrategyConfig(prune=prune, minimize=args.minimize, slack=args.slack, dedup=args.dedup)
 
 
-def _connected(args, state: ChainState, frames: FrameIndex | None = None):
+def _linked(args, state: ChainState):
+    """Yield ``(frame offset, body, header)`` for each frame of the chain
+    file once its links (``wire.block_links``) are connected to ``state``,
+    decoding no transaction.  Each frame is walked in full before it is
+    connected, so the first faulty frame in file order raises."""
+    with open(args.chain, "rb") as fh:
+        for body, offset in read_frames(fh, args.magic):
+            header, links = block_links(body)
+            state.connect_links(header, links)
+            del links
+            yield offset, body, header
+            del body
+
+
+def _connected(args, state: ChainState):
     """Yield each block of the chain file once it is decoded and connected
-    to ``state``, recording its frame in ``frames`` if given; the first
+    to ``state``, for a report that reads transaction fields; the first
     faulty frame in file order raises.  Only ``state`` outlives a block:
     a consumer that drops each block before taking the next holds one
     decoded block at a time."""
     with open(args.chain, "rb") as fh:
-        for body, offset in read_frames(fh, args.magic):
+        for body, _ in read_frames(fh, args.magic):
             block = decode_block(body)
             state.connect(block)
-            if frames is not None:
-                frames.add(offset, body, block.header)
             yield block
             del block, body
 
@@ -135,7 +148,7 @@ def _build(args, config, build):
         if not fh.seekable():  # fail before the connect pass reads it all
             raise OSError(f"{args.chain}: not seekable; this command reads the chain twice and needs a seekable file")
         frames = FrameIndex(fh)
-        deque(_connected(args, state, frames), maxlen=0)
+        deque(starmap(frames.add, _linked(args, state)), maxlen=0)
         return build(frames, state, config)
 
 
@@ -154,8 +167,8 @@ def _emit_metrics(args, rows) -> None:
 
 def cmd_parse(args) -> int:
     state = ChainState(spent_log=None)
-    # map drops each block once it has its size, so one is alive at a time
-    block_bytes = sum(map(attrgetter("raw_size_bytes"), _connected(args, state)))
+    # map drops each frame once it has its size, so one is alive at a time
+    block_bytes = sum(map(len, map(itemgetter(1), _linked(args, state))))
     rows = [
         ("blocks", len(state.index.spine)),
         ("transactions", sum(map(len, state.index.txids))),
@@ -182,9 +195,10 @@ def cmd_stats(args) -> int:
 
     # the report's one fold over the chain file; only lifespan reads the spends
     state = ChainState(spent_log=[] if args.report == "lifespan" else None)
-    blocks = _connected(args, state)
     if args.report in ("lifespan", "dormancy"):
-        deque(blocks, maxlen=0)  # holds no block it has passed
+        deque(_linked(args, state), maxlen=0)  # reads no transaction field
+    else:
+        blocks = _connected(args, state)
 
     if args.report == "lifespan":
         tip = state.index.tip_height()

@@ -35,7 +35,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from collections import namedtuple
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 from .errors import DecodeError, EncodeError, FramingError, TruncationError
@@ -574,6 +574,96 @@ def decode_block(data: bytes, codec=IDENTITY_CODEC) -> Block:
             field="block body",
         )
     return Block(header, txs, raw_size_bytes=len(data), tx_count_width=tx_count_width)
+
+
+def _script_end(data: bytes, offset: int, end: int) -> int:
+    """Where the identity-framed script field at ``offset`` ends, checked
+    as :meth:`IdentityScriptCodec.decode` checks it."""
+    if offset < end and (n := data[offset]) < 0xFD and offset + 1 + n <= end:
+        return offset + 1 + n
+    n, width = decode_varint(data, offset)
+    _need(data, offset + width, n, "script")
+    return offset + width + n
+
+
+def block_links(data: bytes) -> tuple[BlockHeader, Iterator]:
+    """A block body's header and its links: an iterator of ``(txid, spent
+    outpoints, output count)`` per tx, each outpoint a plain ``(tx_hash,
+    index)`` tuple, the coinbase's null one included.  It checks what
+    :func:`decode_block` checks through the identity codec, in the same
+    order and with the same errors, but builds no transaction and copies
+    no script.  The links are three lists, not a tuple per tx: CPython
+    keeps freed tuples for reuse, which raised later peaks on wide blocks.
+    """
+    header = decode_header(data, 0)
+    n_tx, width = decode_varint(data, HEADER_SIZE)
+    offset = HEADER_SIZE + width
+    if n_tx == 0:
+        raise DecodeError("block has zero transactions", offset=offset, field="tx count")
+    end = len(data)
+    txids, spents, n_outs = [], [], []
+    for _ in range(n_tx):
+        start = offset
+        if offset + 4 > end:
+            raise _truncated(data, offset, 4, "version")
+        offset += 4
+        if offset >= end:
+            raise _truncated(data, offset, 1, "input count")
+        has_witness = data[offset] == 0x00
+        if has_witness:
+            if offset + 2 > end:
+                raise _truncated(data, offset + 1, 1, "witness flag")
+            if data[offset + 1] != 0x01:
+                raise DecodeError(
+                    f"marker 0x00 followed by flag 0x{data[offset + 1]:02x}, expected 0x01",
+                    offset=offset + 1,
+                    field="witness flag",
+                )
+            offset += 2
+        n_in, width = decode_varint(data, offset)
+        offset += width
+        if n_in == 0:
+            raise DecodeError("transaction has zero inputs", offset=offset, field="input count")
+        spent = []
+        for _ in range(n_in):
+            if offset + 36 > end:
+                raise _truncated(data, offset, 36, "previous output")
+            spent.append(_PREVOUT.unpack_from(data, offset))
+            offset = _script_end(data, offset + 36, end)
+            if offset + 4 > end:
+                raise _truncated(data, offset, 4, "sequence")
+            offset += 4
+        n_out, width = decode_varint(data, offset)
+        offset += width
+        if n_out == 0:
+            raise DecodeError("transaction has zero outputs", offset=offset, field="output count")
+        for _ in range(n_out):
+            if offset + 8 > end:
+                raise _truncated(data, offset, 8, "output value")
+            if (value := _U64.unpack_from(data, offset)[0]) > MAX_MONEY:
+                raise DecodeError(
+                    f"output value {value} exceeds coin supply cap", offset=offset, field="output value"
+                )
+            offset = _script_end(data, offset + 8, end)
+        witness_at = 0
+        if has_witness:
+            witness_at = offset - start
+            for _ in range(n_in):
+                n_items, width = decode_varint(data, offset)
+                offset += width
+                for _ in range(n_items):
+                    offset = _script_end(data, offset, end)
+        if offset + 4 > end:
+            raise _truncated(data, offset, 4, "lock time")
+        offset += 4
+        txids.append(dsha256(_legacy_preimage(data[start:offset], witness_at)))
+        spents.append(spent)
+        n_outs.append(n_out)
+    if offset != end:
+        raise DecodeError(
+            f"{end - offset} trailing byte(s) after final transaction", offset=offset, field="block body"
+        )
+    return header, zip(txids, spents, n_outs)
 
 
 def encode_block(block: Block, codec=IDENTITY_CODEC) -> bytes:

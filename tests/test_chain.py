@@ -6,7 +6,7 @@ from blockkit import build_blocks, coinbase_tx, outpoint, spend_tx
 from ledgerpack.chain import ChainState, build_chain
 from ledgerpack.errors import ContinuityError, UnknownInputError
 from ledgerpack.fixture import gen_chain
-from ledgerpack.wire import OutPoint, read_block_stream, txid
+from ledgerpack.wire import OutPoint, block_links, encode_block, read_block_stream, txid
 
 from test_golden import CHAINS
 
@@ -151,6 +151,19 @@ def test_spends_are_counted_the_same_without_a_log(fixture_blocks):
     assert logged.spends == unlogged.spends == len(logged.spent_log) > 0
     assert unlogged.spent_log is None
     assert unlogged.utxos == logged.utxos
+
+
+def test_a_walk_connects_as_its_decoded_block(fixture_blocks):
+    """``connect_links`` over ``wire.block_links`` of each block's bytes
+    gives the state ``connect`` of the decoded block gives, and its log
+    holds the UTXO set's outpoints, not the walk's plain tuples."""
+    decoded, walked = ChainState(), ChainState()
+    for block in fixture_blocks:
+        decoded.connect(block)
+        walked.connect_links(*block_links(encode_block(block)))
+    assert (walked.index.spine, walked.index.txids) == (decoded.index.spine, decoded.index.txids)
+    assert (walked.utxos, walked.spent_log, walked.spends) == (decoded.utxos, decoded.spent_log, decoded.spends)
+    assert walked.spent_log and {type(rec.outpoint) for rec in walked.spent_log} == {OutPoint}
 
 
 def test_op_return_outputs_stay_in_the_utxo_set():

@@ -1,13 +1,17 @@
 """Every chain command takes one fold over the block file.
 
-- The connect pass decodes each frame exactly once (a spy on every
-  binding of ``decode_block``).  Reports and raw-only configs decode
-  nothing more; a strategy model indexes the frames and decodes a frame
-  once more per sweep that encodes its height, never the whole chain
-  into a list.
+- The connect pass walks (``wire.block_links``) or decodes each frame
+  exactly once, before any sweep (spies on every binding of both).
+  ``parse``, ``stats lifespan``, ``stats dormancy``, ``estimate`` and
+  ``compact`` walk, and decode no transaction under a raw-only config;
+  ``stats composition`` and ``stats dedup``, which read tx fields,
+  decode.  A strategy model indexes the frames and decodes a frame
+  once per sweep that encodes its height, never the whole chain into a
+  list.
 - Every chain command holds one decoded block at a time: none is alive
-  when the next frame is decoded, and the ``tracemalloc`` peak on an
-  archive-shaped chain stays within a small multiple of the file size.
+  when the next frame is decoded, a command that only walks builds no
+  ``Block`` at all, and the ``tracemalloc`` peak on an archive-shaped
+  chain stays within a small multiple of the file size.
 - A raw-only store built from the frame bytes equals the store built
   from decoded blocks, file for file and byte for byte.
 - A block file with a fault gives no report and writes no store, and the
@@ -27,7 +31,7 @@ from collections import Counter
 import pytest
 
 from blockkit import build_blocks, coinbase_tx, spend_tx
-from ledgerpack import analytics, cli, store, wire  # noqa: F401  (loaded before any trace)
+from ledgerpack import analytics, cli, store, strategies, wire  # noqa: F401  (loaded before any trace)
 from ledgerpack.chain import ChainIndex, build_chain
 from ledgerpack.fixture import ChainPlan, gen_chain
 from ledgerpack.strategies import PruneConfig, RefScriptCodec, StrategyConfig, dedup_scripts
@@ -90,13 +94,52 @@ def _dedup_pays(blocks) -> bool:
     return body_file(RefScriptCodec(plan.kvs)) + kvs < body_file(wire.IDENTITY_CODEC)
 
 
-def _expected_decodes(data):
-    """(command, strategy flags) -> how often each frame body is decoded:
-    once by the connect pass, and once more by each model sweep that
-    encodes its height.  A dedup model of raw records takes its dedup
-    size from its first sweep, so ``estimate --dedup-scripts`` decodes
-    each frame twice, and ``compact --dedup-scripts`` sweeps a third time,
-    to build its records, only when dedup pays."""
+# the reports that read transaction fields, so their connect pass decodes
+DECODING_REPORTS = {"composition", "dedup"}
+
+
+def _pass_kind(argv):
+    """How a command's connect pass reads each frame: "decode" or "walk"."""
+    return "decode" if argv[0] == "stats" and argv[1] in DECODING_REPORTS else "walk"
+
+
+def _key(argv):
+    """(command, strategy flags) of a command line from :func:`_commands`."""
+    return argv[0], " ".join(arg for arg in argv if arg.startswith("--") and arg != "--output")
+
+
+def _spy_frames(monkeypatch, on_decode=None):
+    """A list that gets ("walk" | "decode", body) for each frame body a
+    command walks or decodes, in order, through every binding of
+    ``block_links`` and ``decode_block``."""
+    events = []
+    real_walk, real_decode = wire.block_links, wire.decode_block
+
+    def walk(body):
+        events.append(("walk", bytes(body)))
+        return real_walk(body)
+
+    def decode(body, codec=wire.IDENTITY_CODEC):
+        events.append(("decode", bytes(body)))
+        if on_decode is not None:
+            on_decode()
+        return real_decode(body, codec)
+
+    for name, spy in (("block_links", walk), ("decode_block", decode)):
+        for module in (wire, cli, store):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spy)
+    return events
+
+
+def _expected_sweeps(data):
+    """(command, strategy flags) -> how often its model sweeps decode each
+    frame body after the connect pass: once per sweep that encodes its
+    height, and not at all for a report or a raw-only config.  A dedup
+    model of raw records takes its dedup size from its first sweep, so
+    ``estimate --dedup-scripts`` decodes each frame once, and ``compact
+    --dedup-scripts`` sweeps a second time, to build its records, only
+    when dedup pays."""
     bodies = [body for body, _ in read_frames(io.BytesIO(data))]
     frames = Counter(bodies)
     blocks = [decode_block(body) for body in bodies]
@@ -106,37 +149,55 @@ def _expected_decodes(data):
     return {
         # estimate's slack model encodes every height; compact's minimize
         # model only the heights that keep a tx
-        ("estimate", "--minimize --slack"): frames + frames,
-        ("compact", "--minimize --slack"): frames + keeping,
-        ("estimate", "--dedup-scripts"): frames + frames,
-        ("compact", "--dedup-scripts"): frames + frames + (frames if _dedup_pays(blocks) else Counter()),
+        ("estimate", "--minimize --slack"): frames,
+        ("compact", "--minimize --slack"): keeping,
+        ("estimate", "--dedup-scripts"): frames,
+        ("compact", "--dedup-scripts"): frames + (frames if _dedup_pays(blocks) else Counter()),
     }, frames
 
 
 def test_each_command_decodes_each_frame_once(small_chain, tmp_path, monkeypatch):
-    """The connect pass decodes each frame once; a report or a raw-only
-    config decodes nothing more, and a strategy model decodes a frame
+    """The connect pass walks each frame once, or decodes it once in the
+    reports that read tx fields, before any sweep; a report or a raw-only
+    config reads no frame again, and a strategy model decodes a frame
     once per sweep that encodes its height."""
     chain_path, data = small_chain
-    expected, frames = _expected_decodes(data)
+    expected, frames = _expected_sweeps(data)
     assert len(frames) == 30
-    assert expected["compact", "--dedup-scripts"] == Counter({body: 3 for body in frames})
-    assert expected["compact", "--minimize --slack"] != frames + frames
-    decoded = Counter()
-    real = wire.decode_block
-
-    def spy(body, codec=wire.IDENTITY_CODEC):
-        decoded[bytes(body)] += 1
-        return real(body, codec)
-
-    for module in (wire, cli, store):
-        if hasattr(module, "decode_block"):
-            monkeypatch.setattr(module, "decode_block", spy)
+    assert expected["compact", "--dedup-scripts"] == frames + frames
+    assert expected["compact", "--minimize --slack"] != frames
+    events = _spy_frames(monkeypatch)
     for argv in _commands(chain_path, tmp_path):
-        decoded.clear()
+        events.clear()
         assert cli.main(argv) == 0, argv
-        flags = " ".join(arg for arg in argv if arg.startswith("--") and arg != "--output")
-        assert decoded == expected.get((argv[0], flags), frames), argv
+        connect, sweeps = events[: len(frames)], events[len(frames) :]
+        assert {kind for kind, _ in connect} == {_pass_kind(argv)}, argv
+        assert Counter(body for _, body in connect) == frames, argv
+        assert {kind for kind, _ in sweeps} <= {"decode"}, argv
+        assert Counter(body for _, body in sweeps) == expected.get(_key(argv), Counter()), argv
+
+
+def test_only_the_reports_that_read_tx_fields_decode_a_transaction(small_chain, tmp_path, monkeypatch):
+    """``parse``, ``stats lifespan``, ``stats dormancy`` and raw-only
+    ``estimate``/``compact`` decode no transaction; ``stats composition``
+    and ``stats dedup`` decode each one once."""
+    chain_path, data = small_chain
+    n_txs = sum(len(block.transactions) for block, _ in read_block_stream(io.BytesIO(data)))
+    calls = []
+    real = wire.decode_transaction
+
+    def spy(data, offset=0, codec=wire.IDENTITY_CODEC):
+        calls.append(offset)
+        return real(data, offset, codec)
+
+    for module in (wire, store, strategies):
+        monkeypatch.setattr(module, "decode_transaction", spy)
+    for argv in _commands(chain_path, tmp_path):
+        if any(flag in argv for flag in ("--minimize", "--dedup-scripts")):
+            continue  # a strategy sweep decodes
+        calls.clear()
+        assert cli.main(argv) == 0, argv
+        assert len(calls) == (n_txs if _pass_kind(argv) == "decode" else 0), argv
 
 
 def test_estimate_sizes_raw_dedup_models_without_serializing(small_chain, tmp_path, monkeypatch):
@@ -165,22 +226,40 @@ def test_estimate_sizes_raw_dedup_models_without_serializing(small_chain, tmp_pa
 def test_one_decoded_block_is_alive_at_a_time(small_chain, tmp_path, monkeypatch):
     """When any chain command decodes a frame, no block it decoded before
     is still alive: every loop over blocks drops each one before it takes
-    the next."""
-    chain_path, _ = small_chain
-    real = wire.decode_block
+    the next.  A command that only walks its frames builds no block."""
+    chain_path, data = small_chain
+    sweeps, frames = _expected_sweeps(data)
     alive = []
+    built = []
+    init = wire.Block.__init__
 
-    def spy(body, codec=wire.IDENTITY_CODEC):
-        alive.append(sum(type(obj) is wire.Block for obj in gc.get_objects()))
-        return real(body, codec)
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
 
-    for module in (wire, cli, store):
-        if hasattr(module, "decode_block"):
-            monkeypatch.setattr(module, "decode_block", spy)
+    monkeypatch.setattr(wire.Block, "__init__", counting_init)
+    events = _spy_frames(monkeypatch, lambda: alive.append(sum(type(obj) is wire.Block for obj in gc.get_objects())))
+    blockless = []
     for argv in _commands(chain_path, tmp_path):
         alive.clear()
+        built.clear()
+        events.clear()
         assert cli.main(argv) == 0, argv
-        assert len(alive) >= 30 and set(alive) == {0}, argv
+        decodes = sweeps.get(_key(argv), Counter()).total() + (frames.total() if _pass_kind(argv) == "decode" else 0)
+        if decodes:
+            assert len(alive) == decodes and set(alive) == {0}, argv
+        else:
+            assert alive == [] and built == [], argv
+            blockless.append((argv[1] if argv[0] == "stats" else argv[0], _key(argv)[1]))
+    assert blockless == [
+        ("parse", ""),
+        ("lifespan", ""),
+        ("dormancy", ""),
+        ("estimate", ""),
+        ("compact", ""),
+        ("estimate", "--prune-blocks"),
+        ("compact", "--prune-blocks"),
+    ]
 
 
 # the benchmark's archive workload: ten txs per block, spent two blocks on

@@ -8,6 +8,12 @@ bytes consumed, source bytes, witness offset and varint widths) or raise
 the same exception class with the same message, offset and field.  The
 inputs are a transaction corpus and fixture blocks, cut at every length
 and with seeded 1-3 byte flips.
+
+``wire.block_links``, the walk that links a block without decoding it,
+meets the same harness against ``decode_block``: on each fixture block,
+cut and flipped as above, both return (the same header, and per tx the
+txid, spent outpoints and output count of the decoded tx) or both raise
+the same error.
 """
 
 import random
@@ -25,11 +31,13 @@ from ledgerpack.wire import (
     TxIn,
     TxOut,
     WitnessStack,
+    block_links,
     decode_block,
     decode_transaction,
     decode_witness_stacks,
     encode_block,
     encode_transaction,
+    txid,
 )
 
 FLIPS_PER_INPUT = 12
@@ -220,6 +228,35 @@ def test_block_decoder_matches_reference(blocks, ref_codec, codec_name):
         seen[_compare_block(raw + b"\x00", codec)] += 1
         for _ in range(FLIPS_PER_INPUT * 4):
             seen[_compare_block(_flipped(raw, rng), codec)] += 1
+    assert seen["ok"] >= len(blocks) and seen["error"], seen
+
+
+def _compare_walk(data):
+    got_exc, got = _outcome(block_links, data)
+    want_exc, want = _outcome(decode_block, data)
+    if want_exc is not None or got_exc is not None:
+        _assert_same_error(got_exc, want_exc)
+        return "error"
+    header, links = got
+    assert header == want.header
+    assert list(links) == [
+        (txid(tx), [txin.previous_output for txin in tx.inputs], len(tx.outputs)) for tx in want.transactions
+    ]
+    return "ok"
+
+
+def test_block_walk_matches_the_decoder(blocks):
+    rng = random.Random(4408)
+    seen = {"ok": 0, "error": 0}
+    for block in blocks:
+        raw = encode_block(block)
+        for cut in range(len(raw) + 1):
+            seen[_compare_walk(raw[:cut])] += 1
+        seen[_compare_walk(raw + b"\x00")] += 1
+        # four times the decoder test's flips, so that some land on the
+        # one witness flag or input count byte of a tx
+        for _ in range(FLIPS_PER_INPUT * 16):
+            seen[_compare_walk(_flipped(raw, rng))] += 1
     assert seen["ok"] >= len(blocks) and seen["error"], seen
 
 
